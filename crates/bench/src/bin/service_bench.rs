@@ -12,8 +12,7 @@
 //!               [--rates 0.5,1,4] [--batch W] [--matrix mat3]
 //!               [--bursty] [--arrivals FILE] [--dump-trace FILE]
 //!               [--trace] [--export-metrics FILE]
-//!               [--inject-breakdown] [--flight-dir DIR]
-//!               [--cluster 1,2,4] [--json FILE]
+//!               [--inject-breakdown] [--flight-dir DIR] [--json FILE]
 //! ```
 //!
 //! `--rates` lists arrival rates as multiples of the measured solo
@@ -21,14 +20,6 @@
 //! `m_s`. `--arrivals` replays a recorded arrival-trace file instead
 //! of generating one (format in EXPERIMENTS.md); `--dump-trace`
 //! writes the generated trace out for replay.
-//!
-//! `--cluster 1,2,4` replaces the single-host rate sweep with the
-//! fleet replay: a multi-tenant Poisson trace at a saturating
-//! aggregate rate is replayed against a [`FleetService`] at each
-//! listed shard count (workers pinned to 1 per shard, stealing and
-//! admission control on), reporting RHS/s, p50/p99 of completed
-//! requests, admission rejects, steals, and the achieved mean batch
-//! width next to the Eq. 8/9 width-scaling prediction.
 //!
 //! Observability flags: `--trace` runs the causal-tracing overhead
 //! gate (tracing-off vs tracing-on replays at a saturating rate; the
@@ -50,9 +41,8 @@ use mrhs_perfmodel::measure::{host_profile, time_gspmv};
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_perfmodel::GspmvModel;
 use mrhs_service::{
-    model_batch_width, AdmissionCfg, ArrivalTrace, BatchPolicy, DriftModelCfg,
-    FleetConfig, FleetHandle, FleetService, MatrixRegistry, RequestOptions,
-    ServiceConfig, SolveService, SubmitError,
+    model_batch_width, ArrivalTrace, BatchPolicy, DriftModelCfg, MatrixRegistry,
+    RequestOptions, ServiceConfig, SolveService, SubmitError,
 };
 use mrhs_solvers::{cg, SolveConfig};
 use mrhs_sparse::{BcrsMatrix, MultiVec};
@@ -75,7 +65,6 @@ struct ServiceOptions {
     export_metrics: Option<String>,
     inject_breakdown: bool,
     flight_dir: Option<String>,
-    cluster: Option<Vec<usize>>,
 }
 
 impl ServiceOptions {
@@ -95,7 +84,6 @@ impl ServiceOptions {
             export_metrics: None,
             inject_breakdown: false,
             flight_dir: None,
-            cluster: None,
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -150,19 +138,6 @@ impl ServiceOptions {
                     );
                 }
                 "--inject-breakdown" => o.inject_breakdown = true,
-                "--cluster" => {
-                    let spec =
-                        it.next().expect("--cluster needs a list like 1,2,4");
-                    o.cluster = Some(
-                        spec.split(',')
-                            .map(|s| {
-                                s.trim().parse().unwrap_or_else(|_| {
-                                    panic!("bad shard count {s:?}")
-                                })
-                            })
-                            .collect(),
-                    );
-                }
                 "--flight-dir" => {
                     o.flight_dir = Some(
                         it.next().cloned().expect("--flight-dir needs a path"),
@@ -413,107 +388,85 @@ fn main() {
     // on every batch the service solves.
     let drift = Some(DriftModelCfg { gspmv: model, counts: SolveCounts::fig7() });
 
-    if let Some(shard_counts) = &sopts.cluster {
-        cluster_sweep(
-            &a,
-            &rhss,
-            solo_rate,
-            t_solo,
-            ms,
-            &model,
-            shard_counts,
-            sopts.requests,
-            opts.seed,
-            drift,
-        );
-    } else {
-        section("service-bench: trace replay");
-        println!(
-            "{:>8} {:>9} {:>12} {:>9} {:>9} {:>8} {:>8}",
-            "rate", "width", "RHS/s", "p50 ms", "p99 ms", "iters", "coal.eff"
-        );
-        let mut saturated: Option<(f64, f64)> = None;
-        for &mult in &sopts.rate_multipliers {
-            let rate = mult * solo_rate;
-            let trace = match &sopts.arrivals_in {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-                    ArrivalTrace::parse(&text)
-                        .unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-                }
-                None if sopts.bursty => ArrivalTrace::bursty(
-                    rate,
-                    sopts.requests,
-                    1,
-                    ms.max(2),
-                    opts.seed,
-                ),
-                None => ArrivalTrace::poisson(rate, sopts.requests, 1, opts.seed),
-            };
-            if let Some(path) = &sopts.dump_trace {
-                std::fs::write(path, trace.to_text())
-                    .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                println!(
-                    "dumped trace ({} arrivals) to {path}",
-                    trace.arrivals.len()
-                );
+    section("service-bench: trace replay");
+    println!(
+        "{:>8} {:>9} {:>12} {:>9} {:>9} {:>8} {:>8}",
+        "rate", "width", "RHS/s", "p50 ms", "p99 ms", "iters", "coal.eff"
+    );
+    let mut saturated: Option<(f64, f64)> = None;
+    for &mult in &sopts.rate_multipliers {
+        let rate = mult * solo_rate;
+        let trace = match &sopts.arrivals_in {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .unwrap_or_else(|e| panic!("reading {path}: {e}"));
+                ArrivalTrace::parse(&text)
+                    .unwrap_or_else(|e| panic!("parsing {path}: {e}"))
             }
-
-            // Two replays per configuration, interleaved, keeping the
-            // faster of each: background interference on a shared host
-            // otherwise skews whichever run it happens to land on.
-            let base = replay(&a, &rhss, &trace, 1, drift);
-            let coal = replay(&a, &rhss, &trace, ms, drift);
-            let base2 = replay(&a, &rhss, &trace, 1, drift);
-            let coal2 = replay(&a, &rhss, &trace, ms, drift);
-            let base =
-                if base2.throughput() > base.throughput() { base2 } else { base };
-            let coal =
-                if coal2.throughput() > coal.throughput() { coal2 } else { coal };
-            for (label, r) in [("width-1", &base), ("coalesced", &coal)] {
-                println!(
-                    "{:>7.1}x {:>9} {:>12.1} {:>9} {:>9} {:>8} {:>8.2}",
-                    mult,
-                    label,
-                    r.throughput(),
-                    fmt_ms(r.percentile(0.50)),
-                    fmt_ms(r.percentile(0.99)),
-                    format!("{:.0}", r.mean_iters),
-                    r.coalescing_efficiency,
-                );
-                if r.failed > 0 {
-                    println!(
-                        "{:>8} WARNING: {} {} requests failed",
-                        "", r.failed, label
-                    );
-                }
+            None if sopts.bursty => {
+                ArrivalTrace::bursty(rate, sopts.requests, 1, ms.max(2), opts.seed)
             }
-            let speedup = coal.throughput() / base.throughput();
-            let widths: Vec<String> =
-                coal.batch_widths.iter().map(|(w, c)| format!("{w}x{c}")).collect();
-            println!(
-                "{:>8} speedup {speedup:.2}x; coalesced batch widths: {}",
-                "", // align under rate column
-                widths.join(" ")
-            );
-            if mult >= 2.0 {
-                saturated = Some((mult, speedup));
-            }
+            None => ArrivalTrace::poisson(rate, sopts.requests, 1, opts.seed),
+        };
+        if let Some(path) = &sopts.dump_trace {
+            std::fs::write(path, trace.to_text())
+                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            println!("dumped trace ({} arrivals) to {path}", trace.arrivals.len());
         }
 
-        if let Some((mult, speedup)) = saturated {
+        // Two replays per configuration, interleaved, keeping the
+        // faster of each: background interference on a shared host
+        // otherwise skews whichever run it happens to land on.
+        let base = replay(&a, &rhss, &trace, 1, drift);
+        let coal = replay(&a, &rhss, &trace, ms, drift);
+        let base2 = replay(&a, &rhss, &trace, 1, drift);
+        let coal2 = replay(&a, &rhss, &trace, ms, drift);
+        let base =
+            if base2.throughput() > base.throughput() { base2 } else { base };
+        let coal =
+            if coal2.throughput() > coal.throughput() { coal2 } else { coal };
+        for (label, r) in [("width-1", &base), ("coalesced", &coal)] {
             println!(
-                "\nsaturating rate ({mult:.1}x solo capacity): coalesced \
-             throughput = {speedup:.2}x width-1 baseline \
-             (Eq. 8 predicts >= 2x up to m_s)"
+                "{:>7.1}x {:>9} {:>12.1} {:>9} {:>9} {:>8} {:>8.2}",
+                mult,
+                label,
+                r.throughput(),
+                fmt_ms(r.percentile(0.50)),
+                fmt_ms(r.percentile(0.99)),
+                format!("{:.0}", r.mean_iters),
+                r.coalescing_efficiency,
             );
-            if speedup < 2.0 {
+            if r.failed > 0 {
                 println!(
-                    "WARNING: speedup below the 2x acceptance threshold — \
-                 rerun on an idle machine or raise --requests"
+                    "{:>8} WARNING: {} {} requests failed",
+                    "", r.failed, label
                 );
             }
+        }
+        let speedup = coal.throughput() / base.throughput();
+        let widths: Vec<String> =
+            coal.batch_widths.iter().map(|(w, c)| format!("{w}x{c}")).collect();
+        println!(
+            "{:>8} speedup {speedup:.2}x; coalesced batch widths: {}",
+            "", // align under rate column
+            widths.join(" ")
+        );
+        if mult >= 2.0 {
+            saturated = Some((mult, speedup));
+        }
+    }
+
+    if let Some((mult, speedup)) = saturated {
+        println!(
+            "\nsaturating rate ({mult:.1}x solo capacity): coalesced \
+         throughput = {speedup:.2}x width-1 baseline \
+         (Eq. 8 predicts >= 2x up to m_s)"
+        );
+        if speedup < 2.0 {
+            println!(
+                "WARNING: speedup below the 2x acceptance threshold — \
+             rerun on an idle machine or raise --requests"
+            );
         }
     }
 
@@ -545,215 +498,6 @@ fn main() {
             trace_summary.as_deref(),
         );
     }
-}
-
-/// The fleet replay: a multi-tenant Poisson trace at a saturating
-/// aggregate rate (4× the measured solo capacity) replayed against a
-/// [`FleetService`] at each listed shard count. Every shard runs one
-/// worker, every tenant is replicated, stealing and admission control
-/// are on. The S-node prediction column is what S *independent nodes*
-/// would sustain: the parallel-compute factor (× S) times the Eq. 8
-/// width factor `(t(w̄₁)/w̄₁) / (t(w̄_S)/w̄_S)` from the achieved mean
-/// batch widths. On a shared-core box only the width factor is
-/// observable (all shards timeshare the same cores), so the measured
-/// ratio is compared against `prediction / S`. Admission control
-/// (shed at 90% occupancy, or when the estimated queue delay exceeds
-/// the request deadline) plus in-queue deadline expiry bound the p99
-/// *time-in-queue* of completed requests at the deadline.
-#[allow(clippy::too_many_arguments)]
-fn cluster_sweep(
-    a: &BcrsMatrix,
-    rhss: &[Vec<f64>],
-    solo_rate: f64,
-    t_solo: Duration,
-    ms: usize,
-    model: &GspmvModel,
-    shard_counts: &[usize],
-    requests: usize,
-    seed: u64,
-    drift: Option<DriftModelCfg>,
-) {
-    section("service-bench: cluster replay");
-    let tenants = shard_counts.iter().copied().max().unwrap_or(1).max(2);
-    let rate = 4.0 * solo_rate;
-    let deadline = (t_solo * 30).max(Duration::from_millis(100));
-    // Short linger: under saturating load batch width comes from queue
-    // backlog, not from waiting at the head (a long linger would
-    // serialize with compute on a single-worker shard and skew the
-    // shard-count comparison).
-    let linger = Duration::from_millis(2);
-    let arrivals = ArrivalTrace::poisson(rate, requests, 1, seed ^ 0xc1);
-    println!(
-        "{tenants} tenants on one matrix, {} arrivals at {:.0} RHS/s \
-         aggregate (4x solo capacity), deadline {:.0} ms, linger {:.0} ms",
-        arrivals.arrivals.len(),
-        rate,
-        deadline.as_secs_f64() * 1e3,
-        linger.as_secs_f64() * 1e3
-    );
-    println!(
-        "{:>7} {:>10} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>8} {:>10}",
-        "shards",
-        "RHS/s",
-        "p50 ms",
-        "p99 ms",
-        "qw99 ms",
-        "rejects",
-        "steals",
-        "width",
-        "measured",
-        "S-node prd"
-    );
-
-    // (shards, RHS/s, mean width) at the first listed shard count —
-    // both ratio columns are relative to this row.
-    let mut baseline: Option<(usize, f64, f64)> = None;
-    for &s in shard_counts {
-        let shard = ServiceConfig {
-            policy: BatchPolicy {
-                max_batch: ms,
-                queue_capacity: 128.max(4 * ms),
-                linger,
-            },
-            drift,
-            ..ServiceConfig::default()
-        };
-        let fleet = FleetService::start(FleetConfig {
-            shards: s,
-            shard,
-            replicate_max_dim: usize::MAX,
-            shard_parts: 2,
-            // Width-preserving stealing: only steal when the victim has
-            // at least a full batch queued, so a stolen batch keeps the
-            // Eq. 8 amortization it would have had at home.
-            steal_min_cols: Some(ms),
-            admission: Some(AdmissionCfg { shed_at: 0.9 }),
-        });
-        let handles: Vec<FleetHandle> = (0..tenants)
-            .map(|t| fleet.register_spd(&format!("tenant{t}"), a.clone()))
-            .collect();
-
-        let t0 = Instant::now();
-        let mut tickets = Vec::with_capacity(arrivals.arrivals.len());
-        for (k, arr) in arrivals.arrivals.iter().enumerate() {
-            let due = Duration::from_micros(arr.at_us);
-            loop {
-                let elapsed = t0.elapsed();
-                if elapsed >= due {
-                    break;
-                }
-                std::thread::sleep((due - elapsed).min(Duration::from_millis(1)));
-            }
-            let rhs = &rhss[k % rhss.len()];
-            let mut mv = MultiVec::zeros(rhs.len(), arr.width);
-            for c in 0..arr.width {
-                mv.set_column(c, rhs);
-            }
-            let opts =
-                RequestOptions { deadline: Some(deadline), ..Default::default() };
-            match fleet.submit(handles[k % tenants], mv, opts) {
-                Ok(t) => tickets.push(t),
-                // Shedding is the behavior under test at this load; a
-                // rejected request is counted, not retried.
-                Err(SubmitError::QueueFull { .. }) => {}
-                Err(e) => panic!("fleet submit failed: {e:?}"),
-            }
-        }
-        let mut solved_columns = 0usize;
-        let mut failed = 0usize;
-        let mut latencies = Vec::with_capacity(tickets.len());
-        let mut queue_waits = Vec::with_capacity(tickets.len());
-        for t in tickets {
-            match t.wait() {
-                Ok(out) => {
-                    solved_columns += out.solution.m();
-                    latencies.push(out.latency);
-                    queue_waits.push(out.queue_wait);
-                }
-                Err(_) => failed += 1,
-            }
-        }
-        let wall = t0.elapsed();
-        fleet.shutdown();
-        let st = fleet.stats();
-
-        let batches: u64 = st.shards.iter().map(|x| x.batches).sum();
-        let columns: u64 = st.shards.iter().map(|x| x.coalesced_columns).sum();
-        let shard_rejects: u64 = st.shards.iter().map(|x| x.rejected).sum();
-        let mean_width = columns as f64 / batches.max(1) as f64;
-        let rhs_per_sec = solved_columns as f64 / wall.as_secs_f64();
-        latencies.sort();
-        queue_waits.sort();
-        let pct = |v: &[Duration], p: f64| -> Duration {
-            if v.is_empty() {
-                return Duration::ZERO;
-            }
-            v[((v.len() - 1) as f64 * p).round() as usize]
-        };
-
-        // Eq. 8/9 prediction of what S *independent nodes* would do:
-        // the parallel-compute channel (x S) times the width channel
-        // (per-column GSPMV time at the achieved mean width vs the
-        // single-shard baseline, Eq. 8). On this box only the width
-        // channel is observable — every shard shares the same cores —
-        // so the measured column is compared against the width factor
-        // alone in the closing note.
-        let (measured_x, predicted_x) = match &baseline {
-            None => {
-                baseline = Some((s, rhs_per_sec, mean_width));
-                (1.0, 1.0)
-            }
-            Some((base_s, base_rate, base_width)) => {
-                let per_col = |w: f64| {
-                    let wi = (w.round() as usize).max(1);
-                    model.time(wi) / wi as f64
-                };
-                let width_x = per_col(*base_width) / per_col(mean_width);
-                (rhs_per_sec / base_rate, (s as f64 / *base_s as f64) * width_x)
-            }
-        };
-        println!(
-            "{:>7} {:>10.1} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7.2} {:>7.2}x {:>9.2}x",
-            s,
-            rhs_per_sec,
-            fmt_ms(pct(&latencies, 0.50)),
-            fmt_ms(pct(&latencies, 0.99)),
-            fmt_ms(pct(&queue_waits, 0.99)),
-            st.admission_rejected + shard_rejects,
-            st.steals,
-            mean_width,
-            measured_x,
-            predicted_x,
-        );
-        if failed > 0 {
-            println!(
-                "{:>7} note: deadline expiry shed {failed} more requests \
-                 in-queue (admission's wait estimate cannot see cross-shard \
-                 core contention on a shared-core box)",
-                ""
-            );
-        }
-        // Admission control bounds time *in queue* (solve time under
-        // core contention is outside its control): every completed
-        // request must have waited at most the deadline.
-        if pct(&queue_waits, 1.0) > deadline {
-            println!(
-                "{:>7} WARNING: a completed request out-waited the deadline \
-                 admission control and expiry should enforce",
-                ""
-            );
-        }
-    }
-    println!(
-        "\nNote: every shard on this box is served by the same cores, so \
-         the parallel-compute factor of the S-node prediction is not \
-         observable here — compare the measured column against the width \
-         channel alone (the prediction divided by the shard-count ratio \
-         to the first row); tenant-affinity routing holds per-shard \
-         batch widths (Eq. 8 amortization) as the fleet splits. qw99 is \
-         the p99 time-in-queue, the quantity admission control and \
-         deadline expiry bound."
-    );
 }
 
 /// The tracing acceptance gate: replay the same saturating trace with

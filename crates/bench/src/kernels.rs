@@ -434,9 +434,9 @@ pub fn ablation_spmpv(opts: &Options) {
 }
 
 /// Kernel-backend ablation: serial GSPMV times per width for the
-/// monomorphized scalar path, the strip-mined generic fallback, the
-/// fully-runtime naive kernel, the explicit-SIMD backend (when the host
-/// has a vector ISA), and dedup storage through the active backend.
+/// monomorphized scalar path, the fully-runtime naive kernel, the
+/// explicit-SIMD backend (when the host has a vector ISA), and dedup
+/// storage through the active backend.
 /// Reports absolute seconds and speedups relative to the scalar path —
 /// the measured record behind EXPERIMENTS.md and the README feature
 /// matrix.
@@ -464,19 +464,11 @@ pub fn ablation(opts: &Options) {
     );
     let simd = backend_available(KernelKind::Simd);
     println!(
-        "{:>4} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9}",
-        "m",
-        "scalar s",
-        "generic s",
-        "naive s",
-        "simd s",
-        "dedup s",
-        "simd x",
-        "dedup x"
+        "{:>4} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9}",
+        "m", "scalar s", "naive s", "simd s", "dedup s", "simd x", "dedup x"
     );
     for m in [1usize, 2, 4, 8, 12, 16, 24, 32, 48] {
         let t_scalar = time_gspmv_with(KernelKind::Scalar, &a, m, opts.reps);
-        let t_generic = time_gspmv_with(KernelKind::Generic, &a, m, opts.reps);
         let x = mrhs_sparse::MultiVec::from_flat(
             a.n_cols(),
             m,
@@ -496,10 +488,9 @@ pub fn ablation(opts: &Options) {
             simd.then(|| time_gspmv_with(KernelKind::Simd, &a, m, opts.reps));
         let t_dedup = time_gspmv_dedup(&d, m, opts.reps);
         println!(
-            "{:>4} {:>11.3e} {:>11.3e} {:>11.3e} {:>11} {:>11.3e} {:>9} {:>8.2}x",
+            "{:>4} {:>11.3e} {:>11.3e} {:>11} {:>11.3e} {:>9} {:>8.2}x",
             m,
             t_scalar,
-            t_generic,
             t_naive,
             t_simd.map_or("-".into(), |t| format!("{t:.3e}")),
             t_dedup,

@@ -1035,19 +1035,36 @@ mod tests {
             let part = contiguous_partition(&a, 3);
             let dm = DistributedMatrix::new(&a, &part);
             let engine = DistEngine::new(dm);
-            let before = mrhs_telemetry::snapshot();
             let x = pseudo_multivec(a.n_rows(), 4, 29);
-            let (_, stats) = engine.multiply(&x);
-            let diff = mrhs_telemetry::snapshot().diff(&before);
+            // Other tests' engines record the same span names, and a
+            // snapshot can catch one mid-record (parent span written,
+            // children not yet). Measure until a window holds exactly
+            // this multiply's one sample per span.
+            let node_spans = |q: usize| {
+                ["", "/comm_wait", "/local", "/remote"]
+                    .map(|s| format!("engine/node{q}{s}"))
+            };
+            let (diff, stats) = (0..50)
+                .map(|_| {
+                    let before = mrhs_telemetry::snapshot();
+                    let (_, stats) = engine.multiply(&x);
+                    (mrhs_telemetry::snapshot().diff(&before), stats)
+                })
+                .find(|(diff, _)| {
+                    (0..3).all(|q| {
+                        let counts = node_spans(q)
+                            .map(|n| diff.spans.get(&n).map_or(0, |s| s.count));
+                        counts == [1; 4]
+                    })
+                })
+                .expect("no multiply recorded alone in 50 attempts");
 
             for q in 0..3 {
-                let parent = diff.span_secs(&format!("engine/node{q}"));
-                let children = diff.span_secs(&format!("engine/node{q}/comm_wait"))
-                    + diff.span_secs(&format!("engine/node{q}/local"))
-                    + diff.span_secs(&format!("engine/node{q}/remote"));
+                let [parent, comm_wait, local, remote] =
+                    node_spans(q).map(|n| diff.span_secs(&n));
+                let children = comm_wait + local + remote;
                 // The parent span is recorded as the exact sum of its
-                // children, so the decomposition closes to rounding even
-                // if another test records engine spans concurrently.
+                // children, so the decomposition closes to rounding.
                 assert!(
                     (parent - children).abs() <= 1e-6,
                     "node{q}: parent {parent} vs children {children}"
@@ -1203,12 +1220,36 @@ mod tests {
         });
     }
 
+    /// Forwards to a [`DistEngine`], recording the depth of every power
+    /// sweep it is asked for and the per-node bytes the engine received
+    /// for it.
+    struct PowerSweeps<'a> {
+        engine: &'a DistEngine,
+        sweeps: Mutex<Vec<(usize, Vec<usize>)>>,
+    }
+
+    impl LinearOperator for PowerSweeps<'_> {
+        fn dim(&self) -> usize {
+            self.engine.dim()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.engine.apply(x, y);
+        }
+        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
+            self.engine.apply_multi(x, y);
+        }
+        fn apply_powers(&self, x: &MultiVec, outs: &mut [MultiVec]) {
+            self.engine.apply_powers(x, outs);
+            let recv_bytes = self.engine.last_stats().comm.recv_bytes;
+            self.sweeps.lock().unwrap().push((outs.len(), recv_bytes));
+        }
+    }
+
     #[test]
     fn sstep_cg_on_engine_pays_one_exchange_per_cycle() {
         with_deadline(Duration::from_secs(120), || {
             // SPD chain so the solver converges; the s-step basis sweep
             // must route through the fused exchange.
-            mrhs_telemetry::set_enabled(true);
             let nb = 24;
             let mut t = BlockTripletBuilder::square(nb);
             for i in 0..nb {
@@ -1225,14 +1266,27 @@ mod tests {
             let m = 2;
             let b = pseudo_multivec(a.n_rows(), m, 9);
             let mut x = MultiVec::zeros(a.n_rows(), m);
-            let before = mrhs_telemetry::snapshot();
             let cfg = mrhs_solvers::SolveConfig { tol: 1e-8, max_iter: 400 };
-            let res = mrhs_solvers::sstep_cg(&engine, &b, &mut x, 3, &cfg);
+            // Check this engine's own stats per sweep, not the
+            // process-wide counters other tests bump concurrently. A
+            // fused depth-3 sweep receives the widened depth-3 frontier
+            // in its one exchange; an unfused sweep would leave a single
+            // plain round, which carries fewer bytes, in `last_stats`.
+            let (_, fused) = engine.multiply_powers(&b, 3);
+            let (_, round) = engine.multiply(&b);
+            assert!(
+                fused.comm.recv_bytes.iter().sum::<usize>()
+                    > round.comm.recv_bytes.iter().sum::<usize>()
+            );
+            let counted =
+                PowerSweeps { engine: &engine, sweeps: Mutex::new(Vec::new()) };
+            let res = mrhs_solvers::sstep_cg(&counted, &b, &mut x, 3, &cfg);
             assert!(res.converged, "{res:?}");
-            let diff = mrhs_telemetry::snapshot().diff(&before);
+            let sweeps = counted.sweeps.into_inner().unwrap();
             assert_eq!(
-                diff.counter("engine/powers/k3/multiplies"),
-                res.cycles as u64
+                sweeps,
+                vec![(3, fused.comm.recv_bytes.clone()); res.cycles],
+                "one fused depth-3 exchange per cycle"
             );
         });
     }
@@ -1324,7 +1378,6 @@ mod tests {
     #[test]
     fn solver_chebyshev_routes_through_fused_engine_path() {
         with_deadline(Duration::from_secs(60), || {
-            mrhs_telemetry::set_enabled(true);
             let a = random_symmetric(30, 2, 53);
             let part = contiguous_partition(&a, 3);
             let dm = DistributedMatrix::new(&a, &part);
@@ -1336,14 +1389,24 @@ mod tests {
             let cheb = mrhs_solvers::ChebyshevSqrt::new(0.5, 16.0, 7);
             let z = pseudo_multivec(a.n_rows(), 3, 17);
             let mut y = MultiVec::zeros(a.n_rows(), 3);
-            let before = mrhs_telemetry::snapshot();
             cheb.apply_multi(&engine, &z, &mut y);
-            let diff = mrhs_telemetry::snapshot().diff(&before);
-            assert!(
-                diff.counter("engine/cheb/applies") >= 1,
-                "apply_multi must route through the fused engine path"
-            );
-            assert_eq!(diff.counter("engine/cheb/groups"), 2, "7 = 4 + 3 levels");
+            // The engine's own stats, not the process-wide counters
+            // (other tests drive engines concurrently): order 7 runs as
+            // two fused groups (4 + 3 levels) paying 1 + 2 messages per
+            // peer, where the unfused recurrence would pay one round per
+            // level and leave a single round in `last_stats`.
+            let fused = engine.last_stats();
+            let mut round = MultiVec::zeros(a.n_rows(), 3);
+            let per_round = engine.multiply_into(&z, &mut round);
+            assert!(per_round.comm.recv_messages.iter().any(|&peers| peers > 0));
+            for (q, &peers) in per_round.comm.recv_messages.iter().enumerate() {
+                assert_eq!(
+                    fused.comm.recv_messages[q],
+                    3 * peers,
+                    "node {q}: apply_multi must route through the fused \
+                     engine path (7 = 4 + 3 levels)"
+                );
+            }
 
             // And the fused path matches the serial fused kernel.
             let mut want = MultiVec::zeros(a.n_rows(), 3);

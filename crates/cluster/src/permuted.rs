@@ -3,14 +3,16 @@
 //! The engine operates in the *permuted* global ordering
 //! ([`DistributedMatrix::permutation`], `perm[new] = old`) so each node
 //! owns a contiguous block-row range. That is the right ordering for a
-//! solver driving the engine directly, but wrong for a serving layer:
-//! fleet clients submit right-hand sides in the ordering they built the
-//! matrix in and expect solutions back the same way. [`PermutedEngine`]
+//! solver driving the engine directly, but wrong behind the solve
+//! service: a caller who registers a partitioned operator with
+//! `MatrixRegistry::register_operator` has its clients submit
+//! right-hand sides in the ordering they built the matrix in, and they
+//! expect solutions back the same way. [`PermutedEngine`]
 //! wraps the engine as a [`LinearOperator`] over the **original**
 //! ordering — operands are permuted in, results permuted back out, at
 //! `O(n·m)` per apply (noise against the multiply itself). The fused
 //! fast paths (`apply_powers`, `apply_chebyshev`) are forwarded through
-//! the same permutation, so a sharded tenant still pays one widened
+//! the same permutation, so a partitioned tenant still pays one widened
 //! exchange per group.
 
 use crate::distmat::DistributedMatrix;

@@ -209,7 +209,7 @@ impl GspmvBackend for SymAuto {
 }
 
 /// Full-storage serial GSPMV through an explicitly forced kernel
-/// backend (scalar / SIMD / generic). Each kind gets its own bitwise
+/// backend (scalar / SIMD). Each kind gets its own bitwise
 /// group: different backends round FMA chains differently, so they are
 /// only *tolerance*-equal to each other, while serial/chunked/dedup
 /// within one kind must match bit for bit.

@@ -92,10 +92,6 @@ pub enum DispatchCause {
     DeadlinePressure,
     /// Shutdown drain forced the partial batch out.
     Flush,
-    /// A sibling shard's idle worker stole the batch from a hot queue
-    /// (fleet work stealing). The batch still runs the victim shard's
-    /// solve path, so acceptance/solo-retry semantics are unchanged.
-    Stolen,
 }
 
 impl DispatchCause {
@@ -106,7 +102,6 @@ impl DispatchCause {
             DispatchCause::Linger => "linger",
             DispatchCause::DeadlinePressure => "deadline_pressure",
             DispatchCause::Flush => "flush",
-            DispatchCause::Stolen => "stolen",
         }
     }
 
@@ -117,7 +112,6 @@ impl DispatchCause {
             DispatchCause::Linger => 1,
             DispatchCause::DeadlinePressure => 2,
             DispatchCause::Flush => 3,
-            DispatchCause::Stolen => 4,
         }
     }
 }
@@ -158,49 +152,33 @@ pub(crate) struct Batcher {
     queue: VecDeque<Pending>,
     columns: usize,
     drops: DropStats,
-    /// Extra metric prefix (e.g. `fleet/shard0`): every `service/…`
-    /// counter the batcher emits is mirrored under it, so a fleet
-    /// dashboard sees per-shard families while single-host names stay
-    /// stable.
-    scope: Option<String>,
 }
 
 impl Batcher {
-    pub(crate) fn new(policy: BatchPolicy, scope: Option<String>) -> Self {
+    pub(crate) fn new(policy: BatchPolicy) -> Self {
         assert!(policy.max_batch >= 1, "max_batch must be at least 1");
         assert!(
             policy.queue_capacity >= policy.max_batch,
             "queue must hold at least one full batch"
         );
-        let b = Batcher {
-            policy,
-            queue: VecDeque::new(),
-            columns: 0,
-            drops: DropStats::default(),
-            scope,
-        };
         // Pre-register the drop counters at zero so the metrics
         // exporter publishes them from the first scrape — a dashboard
         // watching for the first drop needs the zero baseline, not a
         // metric that appears out of nowhere.
         for name in [
-            "deadline_missed",
-            "drop/expiry",
-            "drop/backpressure",
-            "drop/shutdown",
-            "drop/unregistered",
+            "service/deadline_missed",
+            "service/drop/expiry",
+            "service/drop/backpressure",
+            "service/drop/shutdown",
+            "service/drop/unregistered",
         ] {
-            b.counter(name, 0);
+            telemetry::counter_add(name, 0);
         }
-        b
-    }
-
-    /// Emits `service/{suffix}`, mirrored under the per-shard scope
-    /// when one is set.
-    fn counter(&self, suffix: &str, v: u64) {
-        telemetry::counter_add(&format!("service/{suffix}"), v);
-        if let Some(s) = &self.scope {
-            telemetry::counter_add(&format!("{s}/{suffix}"), v);
+        Batcher {
+            policy,
+            queue: VecDeque::new(),
+            columns: 0,
+            drops: DropStats::default(),
         }
     }
 
@@ -219,24 +197,18 @@ impl Batcher {
     /// [`Batcher::try_push`] hands the request back).
     pub(crate) fn note_backpressure_drop(&mut self) {
         self.drops.backpressure += 1;
-        self.counter("drop/backpressure", 1);
+        telemetry::counter_add("service/drop/backpressure", 1);
     }
 
     /// Counts one submit refused during shutdown.
     pub(crate) fn note_shutdown_drop(&mut self) {
         self.drops.shutdown += 1;
-        self.counter("drop/shutdown", 1);
+        telemetry::counter_add("service/drop/shutdown", 1);
     }
 
     /// Queued requests.
     pub(crate) fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Queued columns waiting for one specific handle — the fleet
-    /// router's "is a batch forming here?" probe.
-    pub(crate) fn pending_columns_for(&self, h: MatrixHandle) -> usize {
-        self.queue.iter().filter(|p| p.handle == h).map(Pending::width).sum()
     }
 
     /// Accepts a request, or hands it back when the column bound would
@@ -264,8 +236,8 @@ impl Batcher {
                     let p = self.queue.remove(i).unwrap();
                     self.columns -= p.width();
                     self.drops.deadline_missed += 1;
-                    self.counter("deadline_missed", 1);
-                    self.counter("drop/expiry", 1);
+                    telemetry::counter_add("service/deadline_missed", 1);
+                    telemetry::counter_add("service/drop/expiry", 1);
                     expired.push(p);
                 }
                 _ => i += 1,
@@ -284,7 +256,7 @@ impl Batcher {
                 let p = self.queue.remove(i).unwrap();
                 self.columns -= p.width();
                 self.drops.unregistered += 1;
-                self.counter("drop/unregistered", 1);
+                telemetry::counter_add("service/drop/unregistered", 1);
                 revoked.push(p);
             } else {
                 i += 1;
@@ -361,35 +333,10 @@ impl Batcher {
             return Poll::Wait(wake);
         };
 
-        let picked = self.select_from_head();
-        self.counter(&format!("dispatch/{}", cause.as_str()), 1);
-        Poll::Batch(picked, cause)
-    }
-
-    /// Force-dispatches the head batch regardless of linger/deadline
-    /// triggers — the fleet work-stealing entry point. The same
-    /// expiry/revocation sweeps and the same FIFO same-handle selection
-    /// as [`Batcher::poll`] apply, so a stolen batch is exactly the
-    /// batch the victim's own worker would have dispatched next.
-    pub(crate) fn steal_batch(
-        &mut self,
-        now: Instant,
-        expired: &mut Vec<Pending>,
-        revoked: &mut Vec<Pending>,
-    ) -> Option<Vec<Pending>> {
-        self.expire(now, expired);
-        self.sweep_revoked(revoked);
-        self.queue.front()?;
-        let picked = self.select_from_head();
-        self.counter(&format!("dispatch/{}", DispatchCause::Stolen.as_str()), 1);
-        Some(picked)
-    }
-
-    /// Selects FIFO among requests sharing the head's handle. The head
-    /// always goes (even if wider than max_batch — it is solved as its
-    /// own batch); later requests join while they fit.
-    fn select_from_head(&mut self) -> Vec<Pending> {
-        let handle = self.queue.front().expect("non-empty queue").handle;
+        // Select FIFO among same-handle requests. The head always goes
+        // (even if wider than max_batch — it is solved as its own
+        // batch); later requests join while they fit.
+        let handle = head.handle;
         let mut picked = Vec::new();
         let mut width = 0usize;
         let mut i = 0;
@@ -408,7 +355,8 @@ impl Batcher {
                 i += 1;
             }
         }
-        picked
+        telemetry::counter_add(&format!("service/dispatch/{}", cause.as_str()), 1);
+        Poll::Batch(picked, cause)
     }
 }
 
@@ -461,7 +409,7 @@ mod tests {
     #[test]
     fn fills_to_max_batch_and_dispatches_immediately() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 16, 1000), None);
+        let mut b = Batcher::new(policy(4, 16, 1000));
         let t0 = Instant::now();
         for _ in 0..5 {
             b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
@@ -482,7 +430,7 @@ mod tests {
     #[test]
     fn partial_batch_waits_for_linger_then_drains() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10), None);
+        let mut b = Batcher::new(policy(8, 16, 10));
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 2, t0, None)).ok().unwrap();
         let mut exp = Vec::new();
@@ -511,7 +459,7 @@ mod tests {
     #[test]
     fn flush_drains_partial_batches_without_linger() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10_000), None);
+        let mut b = Batcher::new(policy(8, 16, 10_000));
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
         let mut exp = Vec::new();
@@ -528,7 +476,7 @@ mod tests {
     #[test]
     fn batches_never_mix_matrix_handles() {
         let (reg, hs) = registry_with(2);
-        let mut b = Batcher::new(policy(4, 16, 0), None);
+        let mut b = Batcher::new(policy(4, 16, 0));
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
         b.try_push(pending(&reg, hs[1], 1, t0, None)).ok().unwrap();
@@ -554,7 +502,7 @@ mod tests {
     #[test]
     fn expired_deadlines_are_removed_not_solved() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 16, 10_000), None);
+        let mut b = Batcher::new(policy(4, 16, 10_000));
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 1, t0, Some(Duration::ZERO))).ok().unwrap();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
@@ -576,7 +524,7 @@ mod tests {
     #[test]
     fn deadline_pressure_drains_before_linger() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10_000), None);
+        let mut b = Batcher::new(policy(8, 16, 10_000));
         let t0 = Instant::now();
         // Deadline 20ms out, solves take ~5ms: must dispatch by ~15ms,
         // long before the 10s linger.
@@ -612,7 +560,7 @@ mod tests {
         // keep the trigger strictly before the deadline and the poll at
         // that trigger must produce a batch, not an expiry.
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(8, 16, 10_000), None);
+        let mut b = Batcher::new(policy(8, 16, 10_000));
         let t0 = Instant::now();
         let deadline = Duration::from_millis(20);
         b.try_push(pending(&reg, hs[0], 1, t0, Some(deadline))).ok().unwrap();
@@ -640,7 +588,7 @@ mod tests {
     #[test]
     fn try_push_bounds_queued_columns() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 4, 0), None);
+        let mut b = Batcher::new(policy(4, 4, 0));
         let t0 = Instant::now();
         for _ in 0..4 {
             b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();
@@ -653,7 +601,7 @@ mod tests {
     #[test]
     fn oversized_request_dispatches_as_its_own_batch() {
         let (reg, hs) = registry_with(1);
-        let mut b = Batcher::new(policy(4, 16, 0), None);
+        let mut b = Batcher::new(policy(4, 16, 0));
         let t0 = Instant::now();
         b.try_push(pending(&reg, hs[0], 6, t0, None)).ok().unwrap();
         b.try_push(pending(&reg, hs[0], 1, t0, None)).ok().unwrap();

@@ -32,17 +32,12 @@
 //! [`LinearOperator`]: mrhs_solvers::LinearOperator
 
 pub mod batcher;
-pub mod fleet;
 pub mod registry;
 pub mod request;
 pub mod server;
 pub mod trace;
 
 pub use batcher::{BatchPolicy, DispatchCause, DropStats};
-pub use fleet::{
-    AdmissionCfg, FleetConfig, FleetHandle, FleetService, FleetStats, Placement,
-    PlacementDecision,
-};
 pub use registry::{
     MatrixHandle, MatrixRegistry, OperatorClass, PreparedMatrix, StorageKind,
 };

@@ -104,11 +104,6 @@ pub struct ServiceConfig {
     /// Reference model for the online drift gauges (`None` = no drift
     /// tracking).
     pub drift: Option<DriftModelCfg>,
-    /// Extra metric prefix (e.g. `fleet/shard0`). Every `service/…`
-    /// counter and queue-depth histogram is mirrored under it, giving a
-    /// fleet deployment per-shard metric families without disturbing
-    /// the single-host names.
-    pub scope: Option<String>,
 }
 
 impl Default for ServiceConfig {
@@ -120,7 +115,6 @@ impl Default for ServiceConfig {
             max_iter: 1000,
             solo_retry: true,
             drift: None,
-            scope: None,
         }
     }
 }
@@ -146,9 +140,6 @@ pub struct ServiceStats {
     pub full_batches: u64,
     /// Columns that went through the solo-retry path.
     pub solo_retries: u64,
-    /// Batches lifted off this shard's queue by a sibling's idle worker
-    /// (fleet work stealing; always 0 single-host).
-    pub stolen_batches: u64,
     /// The configured target width (for efficiency calculations).
     pub target_width: u64,
 }
@@ -164,13 +155,6 @@ impl ServiceStats {
     }
 }
 
-/// An installed work-stealing probe: returns `true` when it stole (and
-/// solved) a batch from a sibling shard, `false` when nothing was worth
-/// stealing. Installed by the fleet layer via
-/// [`SolveService::set_steal_hook`]; idle workers call it between
-/// queue polls.
-pub(crate) type StealHook = Arc<dyn Fn() -> bool + Send + Sync>;
-
 struct Inner {
     registry: MatrixRegistry,
     cfg: ServiceConfig,
@@ -179,8 +163,6 @@ struct Inner {
     drift_secs: Mutex<std::collections::HashMap<usize, f64>>,
     cv: Condvar,
     shutdown: AtomicBool,
-    /// Fleet work-stealing probe; `None` single-host.
-    steal: std::sync::RwLock<Option<StealHook>>,
     /// EWMA of batch solve time, nanoseconds (retry-after and
     /// deadline-pressure estimates).
     ewma_solve_ns: AtomicU64,
@@ -193,22 +175,6 @@ struct Inner {
     coalesced_columns: AtomicU64,
     full_batches: AtomicU64,
     solo_retries: AtomicU64,
-    stolen_batches: AtomicU64,
-}
-
-impl Inner {
-    /// Emits `service/{suffix}`, mirrored under the configured
-    /// per-shard scope.
-    fn scoped(&self, suffix: &str, v: u64) {
-        telemetry::counter_add(&format!("service/{suffix}"), v);
-        if let Some(s) = &self.cfg.scope {
-            telemetry::counter_add(&format!("{s}/{suffix}"), v);
-        }
-    }
-
-    fn steal_hook(&self) -> Option<StealHook> {
-        self.steal.read().unwrap().clone()
-    }
 }
 
 /// A running solve service. Dropping it shuts down and joins the
@@ -224,12 +190,11 @@ impl SolveService {
         assert!(cfg.workers >= 1, "need at least one worker");
         let inner = Arc::new(Inner {
             registry,
-            state: Mutex::new(Batcher::new(cfg.policy, cfg.scope.clone())),
+            state: Mutex::new(Batcher::new(cfg.policy)),
             drift_secs: Mutex::new(std::collections::HashMap::new()),
             cfg,
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            steal: std::sync::RwLock::new(None),
             ewma_solve_ns: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -240,7 +205,6 @@ impl SolveService {
             coalesced_columns: AtomicU64::new(0),
             full_batches: AtomicU64::new(0),
             solo_retries: AtomicU64::new(0),
-            stolen_batches: AtomicU64::new(0),
         });
         let workers = (0..inner.cfg.workers)
             .map(|k| {
@@ -301,30 +265,25 @@ impl SolveService {
                 st.note_shutdown_drop();
                 return Err(SubmitError::ShuttingDown);
             }
-            let (cols, reqs) = (st.columns() as u64, st.len() as u64);
-            telemetry::histogram_record_ns("service/queue_depth_cols", cols);
-            telemetry::histogram_record_ns("service/queue_depth_reqs", reqs);
-            if let Some(s) = &inner.cfg.scope {
-                telemetry::histogram_record_ns(
-                    &format!("{s}/queue_depth_cols"),
-                    cols,
-                );
-                telemetry::histogram_record_ns(
-                    &format!("{s}/queue_depth_reqs"),
-                    reqs,
-                );
-            }
+            telemetry::histogram_record_ns(
+                "service/queue_depth_cols",
+                st.columns() as u64,
+            );
+            telemetry::histogram_record_ns(
+                "service/queue_depth_reqs",
+                st.len() as u64,
+            );
             if st.try_push(pending).is_err() {
                 st.note_backpressure_drop();
                 inner.rejected.fetch_add(1, Ordering::Relaxed);
-                inner.scoped("rejected", 1);
+                telemetry::counter_add("service/rejected", 1);
                 return Err(SubmitError::QueueFull {
                     retry_after: self.solve_estimate(),
                 });
             }
         }
         inner.accepted.fetch_add(1, Ordering::Relaxed);
-        inner.scoped("accepted", 1);
+        telemetry::counter_add("service/accepted", 1);
         inner.cv.notify_all();
         Ok(Ticket { shared: completion, submitted: now })
     }
@@ -360,7 +319,6 @@ impl SolveService {
             coalesced_columns: ld(&i.coalesced_columns),
             full_batches: ld(&i.full_batches),
             solo_retries: ld(&i.solo_retries),
-            stolen_batches: ld(&i.stolen_batches),
             target_width: i.cfg.policy.max_batch as u64,
         }
     }
@@ -369,22 +327,6 @@ impl SolveService {
     pub fn solve_estimate(&self) -> Duration {
         let ns = self.inner.ewma_solve_ns.load(Ordering::Relaxed);
         Duration::from_nanos(ns).max(Duration::from_micros(100))
-    }
-
-    /// Queued columns right now (the fleet router's load probe).
-    pub fn queued_columns(&self) -> usize {
-        self.inner.state.lock().unwrap().columns()
-    }
-
-    /// The configured queue bound, in columns.
-    pub fn queue_capacity(&self) -> usize {
-        self.inner.cfg.policy.queue_capacity
-    }
-
-    /// Queued columns waiting for `h` — the fleet router's "is a batch
-    /// already forming here?" probe.
-    pub fn pending_columns_for(&self, h: MatrixHandle) -> usize {
-        self.inner.state.lock().unwrap().pending_columns_for(h)
     }
 
     /// Unregisters a handle. Later submits fail with
@@ -398,43 +340,6 @@ impl SolveService {
             self.inner.cv.notify_all();
         }
         was
-    }
-
-    /// Lifts the next dispatchable batch off this shard's queue when it
-    /// holds at least `min_cols` columns — the victim half of fleet
-    /// work stealing. Deadline-expired and revoked requests swept along
-    /// the way are completed here, exactly as this shard's own worker
-    /// would complete them.
-    pub(crate) fn try_steal(&self, min_cols: usize) -> Option<Vec<Pending>> {
-        let mut expired = Vec::new();
-        let mut revoked = Vec::new();
-        let batch = {
-            let mut st = self.inner.state.lock().unwrap();
-            if st.columns() < min_cols.max(1) {
-                None
-            } else {
-                st.steal_batch(Instant::now(), &mut expired, &mut revoked)
-            }
-        };
-        complete_dropped(&self.inner, &mut expired, &mut revoked);
-        batch
-    }
-
-    /// Runs a batch stolen from this shard on the caller's thread. The
-    /// batch still uses this shard's solver configuration, counters,
-    /// and completions, so per-column acceptance and solo-retry
-    /// semantics are identical to a locally dispatched batch.
-    pub(crate) fn run_stolen(&self, batch: Vec<Pending>) {
-        self.inner.stolen_batches.fetch_add(1, Ordering::Relaxed);
-        self.inner.scoped("stolen_batches", 1);
-        solve_batch(&self.inner, batch, DispatchCause::Stolen);
-    }
-
-    /// Installs the fleet work-stealing probe this shard's idle workers
-    /// call between queue polls.
-    pub(crate) fn set_steal_hook(&self, hook: StealHook) {
-        *self.inner.steal.write().unwrap() = Some(hook);
-        self.inner.cv.notify_all();
     }
 
     /// Stops accepting requests, drains the queue, and joins the
@@ -469,10 +374,6 @@ fn worker_main(inner: &Inner) {
     loop {
         let batch = {
             let mut st = inner.state.lock().unwrap();
-            // Once an empty queue has made us wait a full idle tick,
-            // release the lock and probe the siblings instead of
-            // waiting again (fleet work stealing).
-            let mut waited_idle = false;
             loop {
                 let flush = inner.shutdown.load(Ordering::SeqCst);
                 let est = Duration::from_nanos(
@@ -488,17 +389,11 @@ fn worker_main(inner: &Inner) {
                         if flush {
                             return;
                         }
-                        let stealing = inner.steal_hook().is_some();
-                        if stealing && waited_idle {
-                            break None;
-                        }
-                        // Shorter idle tick when stealing is on: an
-                        // idle shard should notice a hot sibling fast.
-                        let tick =
-                            Duration::from_millis(if stealing { 5 } else { 100 });
-                        let (g, _) = inner.cv.wait_timeout(st, tick).unwrap();
+                        let (g, _) = inner
+                            .cv
+                            .wait_timeout(st, Duration::from_millis(100))
+                            .unwrap();
                         st = g;
-                        waited_idle = true;
                     }
                     Poll::Wait(until) => {
                         if !expired.is_empty() || !revoked.is_empty() {
@@ -515,15 +410,8 @@ fn worker_main(inner: &Inner) {
             }
         };
         complete_dropped(inner, &mut expired, &mut revoked);
-        match batch {
-            Some((batch, cause)) => solve_batch(inner, batch, cause),
-            None => {
-                // Idle with nothing dropped locally: probe the fleet's
-                // hottest sibling for a batch worth stealing.
-                if let Some(hook) = inner.steal_hook() {
-                    hook();
-                }
-            }
+        if let Some((batch, cause)) = batch {
+            solve_batch(inner, batch, cause);
         }
     }
 }
@@ -541,7 +429,7 @@ fn complete_dropped(
         let waited = p.enqueued.elapsed();
         inner.expired.fetch_add(1, Ordering::Relaxed);
         inner.failed.fetch_add(1, Ordering::Relaxed);
-        inner.scoped("expired", 1);
+        telemetry::counter_add("service/expired", 1);
         if let Some(rt) = p.trace {
             // Close the request's trace as an expired root span
             // (a = waited ns, b = 1 marks the deadline miss), then
@@ -564,7 +452,7 @@ fn complete_dropped(
     }
     for p in revoked.drain(..) {
         inner.failed.fetch_add(1, Ordering::Relaxed);
-        inner.scoped("failed", 1);
+        telemetry::counter_add("service/failed", 1);
         if let Some(rt) = p.trace {
             // Root span with the error flag set; the batcher already
             // counted `drop/unregistered`. No flight dump — an
@@ -633,9 +521,9 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
     if width == inner.cfg.policy.max_batch {
         inner.full_batches.fetch_add(1, Ordering::Relaxed);
     }
-    inner.scoped("batches", 1);
+    telemetry::counter_add("service/batches", 1);
     telemetry::counter_add(&format!("service/batch_width/{width:02}"), 1);
-    inner.scoped("coalesced_columns", width as u64);
+    telemetry::counter_add("service/coalesced_columns", width as u64);
     telemetry::histogram_record_ns("service/batch_width", width as u64);
 
     // Gather pending right-hand sides into one MultiVec.
@@ -748,7 +636,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
             }
             solo_retried[j] = true;
             inner.solo_retries.fetch_add(1, Ordering::Relaxed);
-            inner.scoped("solo_retries", 1);
+            telemetry::counter_add("service/solo_retries", 1);
             let bj = b.column(j);
             let mut xj = vec![0.0; n];
             let cfg = SolveConfig { tol: tols[j], ..cfg_base };
@@ -814,7 +702,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
         }
         if all_ok {
             inner.completed.fetch_add(1, Ordering::Relaxed);
-            inner.scoped("completed", 1);
+            telemetry::counter_add("service/completed", 1);
             p.completion.complete(Ok(SolveOutput {
                 solution: x.gather_columns(&cols),
                 iterations: cols.iter().map(|&j| iters[j]).max().unwrap(),
@@ -827,7 +715,7 @@ fn solve_batch(inner: &Inner, batch: Vec<Pending>, cause: DispatchCause) {
             }));
         } else {
             inner.failed.fetch_add(1, Ordering::Relaxed);
-            inner.scoped("failed", 1);
+            telemetry::counter_add("service/failed", 1);
             let worst = cols.iter().map(|&j| rel_res[j]).fold(0.0f64, |a, r| {
                 if r.is_nan() {
                     f64::NAN

@@ -3,13 +3,13 @@
 
 use std::time::Duration;
 
-use mrhs_cluster::{DistEngine, DistributedMatrix};
+use mrhs_cluster::{DistEngine, DistributedMatrix, PermutedEngine};
 use mrhs_service::{
     BatchPolicy, MatrixRegistry, RequestOptions, ServiceConfig, SolveError,
     SolveService, SubmitError,
 };
 use mrhs_solvers::{cg, LinearOperator, SolveConfig};
-use mrhs_sparse::partition::contiguous_partition;
+use mrhs_sparse::partition::{contiguous_partition, Partition};
 use mrhs_sparse::{BcrsMatrix, Block3, BlockTripletBuilder, MultiVec};
 
 fn laplacian(nb: usize) -> BcrsMatrix {
@@ -368,38 +368,55 @@ fn dist_engine_backed_registration_serves_requests() {
     let a = laplacian(8);
     let n = a.n_rows();
     // Single partition: the distributed row permutation is identity,
-    // so solutions compare directly with the shared-memory path.
-    let part = contiguous_partition(&a, 1);
-    let dm = DistributedMatrix::new(&a, &part);
+    // so the bare engine already speaks the caller's row ordering.
+    let dm = DistributedMatrix::new(&a, &contiguous_partition(&a, 1));
     assert!(
         dm.permutation().iter().enumerate().all(|(i, &p)| i == p),
         "1-partition permutation must be identity"
     );
-    let engine = DistEngine::new(dm);
+    let single = DistEngine::new(dm);
+    // Two interleaved partitions: the permutation is not the identity,
+    // so solutions only come back in client row order if
+    // PermutedEngine undoes it.
+    let interleaved = (0..a.nb_rows()).map(|i| (i % 2) as u32).collect();
+    let dm =
+        DistributedMatrix::new(&a, &Partition::from_assignment(2, interleaved));
+    assert!(
+        dm.permutation().iter().enumerate().any(|(i, &p)| i != p),
+        "interleaved 2-partition permutation must not be identity"
+    );
+    let sharded = PermutedEngine::new(DistEngine::new(dm));
 
-    let reg = MatrixRegistry::new();
-    let h = reg.register_operator("lap-dist", Box::new(engine));
-    let cfg = ServiceConfig {
-        policy: BatchPolicy {
-            max_batch: 3,
-            queue_capacity: 16,
-            linger: Duration::from_secs(5),
-        },
-        ..ServiceConfig::default()
-    };
-    let svc = SolveService::start(reg, cfg);
+    let operators: [(&str, Box<dyn LinearOperator + Send + Sync>); 2] =
+        [("lap-dist", Box::new(single)), ("lap-sharded", Box::new(sharded))];
+    for (name, op) in operators {
+        let reg = MatrixRegistry::new();
+        let h = reg.register_operator(name, op);
+        let cfg = ServiceConfig {
+            policy: BatchPolicy {
+                max_batch: 3,
+                queue_capacity: 16,
+                linger: Duration::from_secs(5),
+            },
+            ..ServiceConfig::default()
+        };
+        let svc = SolveService::start(reg, cfg);
 
-    let rhss: Vec<Vec<f64>> = (0..3).map(|k| pseudo_rhs(n, 600 + k)).collect();
-    let tickets: Vec<_> =
-        rhss.iter().map(|b| svc.submit_one(h, b).unwrap()).collect();
-    for (t, b) in tickets.into_iter().zip(&rhss) {
-        let out = t.wait().unwrap();
-        let want = solo_reference(&a, b, 1e-6);
-        for (got, want) in out.solution.column(0).iter().zip(&want) {
-            assert!((got - want).abs() <= 1e-5 * want.abs().max(1.0));
+        let rhss: Vec<Vec<f64>> = (0..3).map(|k| pseudo_rhs(n, 600 + k)).collect();
+        let tickets: Vec<_> =
+            rhss.iter().map(|b| svc.submit_one(h, b).unwrap()).collect();
+        for (t, b) in tickets.into_iter().zip(&rhss) {
+            let out = t.wait().unwrap();
+            let want = solo_reference(&a, b, 1e-6);
+            for (got, want) in out.solution.column(0).iter().zip(&want) {
+                assert!(
+                    (got - want).abs() <= 1e-5 * want.abs().max(1.0),
+                    "{name}: {got} vs serial {want}"
+                );
+            }
         }
+        svc.shutdown();
     }
-    svc.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@
 //!   [`chebyshev::ChebyshevSqrt`];
 //! * spectral bounds feeding the Chebyshev interval — [`eigbounds`]
 //!   (Gershgorin, power iteration, and a small Lanczos);
-//! * a dense Cholesky reference path for small systems ([`cholesky`]),
-//!   combined with iterative refinement ([`refinement`]) as in §II-C.
+//! * a dense Cholesky reference path for small systems ([`cholesky`]).
 //!
 //! For the **nonsymmetric** (CFD-class) systems of Krasnopolsky
 //! arXiv:1907.12874 the SPD assumption fails and the stack switches to
@@ -34,7 +33,6 @@ pub mod eigbounds;
 pub mod operator;
 pub mod precond;
 pub mod recycling;
-pub mod refinement;
 pub mod sstep_cg;
 
 pub use bicgstab::{bicgstab, BicgstabResult, Breakdown, BreakdownKind};

@@ -7,18 +7,16 @@
 //! leaves real speed on the table when the *running* CPU has wider
 //! vectors than the build target (the common case: portable builds are
 //! SSE2-baseline, servers have AVX2/AVX-512). This module closes that
-//! gap with a [`KernelBackend`] trait and three implementations:
+//! gap with a [`KernelBackend`] trait and two implementations:
 //!
 //! * **scalar** — the original monomorphized kernels, kept bit-for-bit
 //!   as the portable reference;
 //! * **simd** — explicit `core::arch` intrinsics (AVX-512 / AVX2+FMA /
 //!   NEON) with register-tiled `m`-lane micro-kernels, selected against
-//!   the ISA detected *at run time* (see [`crate::simd`]);
-//! * **generic** — the strip-mined any-`m` fallback, exposed as a
-//!   backend so ablations and the oracle can force it.
+//!   the ISA detected *at run time* (see [`crate::simd`]).
 //!
 //! The backend is chosen **once per process** ([`active_backend`]):
-//! `MRHS_KERNEL_BACKEND=scalar|simd|generic` overrides, otherwise the
+//! `MRHS_KERNEL_BACKEND=scalar|simd` overrides, otherwise the
 //! best backend for the detected ISA wins (SIMD when any vector ISA is
 //! present, scalar otherwise). Every GSPMV entry point — full storage,
 //! dedup storage, and the symmetric two-phase driver — routes its row
@@ -35,9 +33,9 @@
 
 use crate::bcrs::BcrsMatrix;
 use crate::dedup::DedupBcrs;
-use crate::gspmv::{dispatch_rows_scalar, gspmv_rows_generic};
+use crate::gspmv::dispatch_rows_scalar;
 use crate::simd;
-use crate::symmetric::{dispatch_sym_rows_scalar, sym_rows_generic, SymmetricBcrs};
+use crate::symmetric::{dispatch_sym_rows_scalar, SymmetricBcrs};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -56,8 +54,6 @@ pub enum KernelKind {
     Scalar,
     /// Explicit `core::arch` SIMD kernels.
     Simd,
-    /// Strip-mined any-`m` fallback kernels.
-    Generic,
 }
 
 impl KernelKind {
@@ -67,7 +63,6 @@ impl KernelKind {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Simd => "simd",
-            KernelKind::Generic => "generic",
         }
     }
 
@@ -76,14 +71,12 @@ impl KernelKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" | "mono" | "monomorphized" => Some(KernelKind::Scalar),
             "simd" => Some(KernelKind::Simd),
-            "generic" => Some(KernelKind::Generic),
             _ => None,
         }
     }
 
     /// All kinds, in dispatch-preference order.
-    pub const ALL: [KernelKind; 3] =
-        [KernelKind::Simd, KernelKind::Scalar, KernelKind::Generic];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Simd, KernelKind::Scalar];
 }
 
 /// Vector instruction set a backend's kernels target.
@@ -145,7 +138,7 @@ pub trait KernelBackend: Sync {
     /// Which family this is.
     fn kind(&self) -> KernelKind;
 
-    /// The vector ISA the kernels use (`Portable` for scalar/generic).
+    /// The vector ISA the kernels use (`Portable` for scalar).
     fn isa(&self) -> Isa;
 
     /// Stable name for telemetry/report tagging.
@@ -291,58 +284,6 @@ impl KernelBackend for ScalarBackend {
     }
 }
 
-/// The strip-mined any-`m` fallback as a forceable backend.
-struct GenericBackend;
-
-impl KernelBackend for GenericBackend {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Generic
-    }
-    fn isa(&self) -> Isa {
-        Isa::Portable
-    }
-    fn gspmv_rows(
-        &self,
-        a: &BcrsMatrix,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        gspmv_rows_generic(a.row_ptr(), a.col_idx(), a.blocks(), x, y, m, rows);
-    }
-    fn gspmv_rows_dedup(
-        &self,
-        d: &DedupBcrs,
-        x: &[f64],
-        y: &mut [f64],
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        gspmv_rows_generic(
-            d.row_ptr(),
-            d.col_idx(),
-            d.pool_blocks(),
-            x,
-            y,
-            m,
-            rows,
-        );
-    }
-    fn sym_rows(
-        &self,
-        s: &SymmetricBcrs,
-        x: &[f64],
-        window: &mut [f64],
-        slab: &mut [f64],
-        slab_base: usize,
-        m: usize,
-        rows: Range<usize>,
-    ) {
-        sym_rows_generic(s, x, window, slab, slab_base, m, rows);
-    }
-}
-
 /// Explicit-SIMD backend carrying the detected ISA. Widths narrower
 /// than one vector delegate to the scalar backend (they would be all
 /// scalar tail anyway, and the monomorphized kernels are better there).
@@ -424,14 +365,12 @@ impl KernelBackend for SimdBackend {
 }
 
 static SCALAR: ScalarBackend = ScalarBackend;
-static GENERIC: GenericBackend = GenericBackend;
 
 /// The backend for an explicit kind, or `None` when the host cannot
 /// run it (`Simd` without a detected vector ISA).
 pub fn backend_for(kind: KernelKind) -> Option<&'static dyn KernelBackend> {
     match kind {
         KernelKind::Scalar => Some(&SCALAR),
-        KernelKind::Generic => Some(&GENERIC),
         KernelKind::Simd => {
             let isa = detect_isa();
             if isa == Isa::Portable {
@@ -497,7 +436,6 @@ mod tests {
         // Explicit overrides win where runnable.
         assert_eq!(select_kind(Some("scalar"), Isa::Avx512), KernelKind::Scalar);
         assert_eq!(select_kind(Some("mono"), Isa::Avx2), KernelKind::Scalar);
-        assert_eq!(select_kind(Some("generic"), Isa::Neon), KernelKind::Generic);
         assert_eq!(select_kind(Some("simd"), Isa::Avx2), KernelKind::Simd);
         // SIMD without a vector ISA degrades to scalar.
         assert_eq!(select_kind(Some("simd"), Isa::Portable), KernelKind::Scalar);
@@ -505,15 +443,16 @@ mod tests {
         assert_eq!(select_kind(None, Isa::Avx512), KernelKind::Simd);
         assert_eq!(select_kind(None, Isa::Neon), KernelKind::Simd);
         assert_eq!(select_kind(None, Isa::Portable), KernelKind::Scalar);
-        // Unknown values fall back to auto, not a panic.
+        // Unknown values (a stale "generic" included) fall back to
+        // auto, not a panic.
+        assert_eq!(select_kind(Some("generic"), Isa::Avx512), KernelKind::Simd);
         assert_eq!(select_kind(Some("turbo"), Isa::Portable), KernelKind::Scalar);
         assert_eq!(select_kind(Some("turbo"), Isa::Avx2), KernelKind::Simd);
     }
 
     #[test]
-    fn scalar_and_generic_always_available() {
+    fn scalar_always_available() {
         assert!(backend_available(KernelKind::Scalar));
-        assert!(backend_available(KernelKind::Generic));
         // Whatever the host, the active backend resolves.
         let b = active_backend();
         assert!(!b.name().is_empty());

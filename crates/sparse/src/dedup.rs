@@ -61,7 +61,7 @@ pub struct DedupBcrs {
 
 /// The pool-indirect block fetch: entry `k`'s block is
 /// `pool[pool_idx[k]]`. Implements [`BlockGet`] so the full-storage row
-/// kernels (scalar, generic, and SIMD) run unchanged over dedup
+/// kernels (scalar and SIMD) run unchanged over dedup
 /// storage.
 #[derive(Clone, Copy)]
 pub(crate) struct PoolBlocks<'a> {

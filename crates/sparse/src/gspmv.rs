@@ -10,7 +10,7 @@
 //! The explicit-SIMD kernels live in `crate::simd`, and every public
 //! entry point here routes its row ranges through the process-wide
 //! [`crate::backend::active_backend`] — override with
-//! `MRHS_KERNEL_BACKEND=scalar|simd|generic`.
+//! `MRHS_KERNEL_BACKEND=scalar|simd`.
 //!
 //! All row kernels are generic over [`BlockGet`], the block-fetch
 //! abstraction that lets full storage (`&[Block3]`) and dedup storage

@@ -33,8 +33,8 @@
 //! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction.
 //! * [`backend`] — the [`KernelBackend`] abstraction: scalar
 //!   (monomorphized), explicit-SIMD (`core::arch`, runtime-dispatched
-//!   on AVX-512/AVX2/NEON), and generic kernel families, selected once
-//!   per process with an `MRHS_KERNEL_BACKEND` override.
+//!   on AVX-512/AVX2/NEON) kernel families, selected once per process
+//!   with an `MRHS_KERNEL_BACKEND` override.
 //! * [`DedupBcrs`] — BCRS with a unique-block pool, streaming 8 B of
 //!   indices instead of 72 B of values for repeated blocks.
 //!

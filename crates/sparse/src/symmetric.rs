@@ -541,7 +541,7 @@ fn block_madd_fixed<const M: usize>(
 }
 
 /// Any-`m` fallback with the same two-pass structure as
-/// [`sym_rows_fixed`] — also the generic backend's symmetric kernel.
+/// [`sym_rows_fixed`], the scalar backend's kernel for off-grid `m`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sym_rows_generic(
     s: &SymmetricBcrs,

@@ -39,8 +39,7 @@ pub struct MachineInfo {
     /// Detected SIMD instruction set (`avx512` / `avx2` / `neon` /
     /// `portable`).
     pub isa: String,
-    /// Kernel backend the run dispatched to (`simd` / `scalar` /
-    /// `generic`).
+    /// Kernel backend the run dispatched to (`simd` / `scalar`).
     pub kernel_backend: String,
     /// Measured STREAM-triad bandwidth, bytes/second (Eq. 8's `B`).
     pub stream_bandwidth_bps: f64,
