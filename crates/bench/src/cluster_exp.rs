@@ -12,7 +12,6 @@ use mrhs_cluster::{
 use mrhs_perfmodel::mrhs_model::SolveCounts;
 use mrhs_sparse::partition::coordinate_partition;
 use mrhs_sparse::MultiVec;
-use std::time::Instant;
 
 fn distribute(opts: &Options, s_cut: f64, nodes: usize) -> DistributedMatrix {
     let (system, a) = sd_system_and_matrix(opts.particles, s_cut, opts.seed);
@@ -144,8 +143,8 @@ fn pseudo_x(n: usize, m: usize, seed: u64) -> MultiVec {
 /// Persistent-engine experiment: measured per-node phase timings and
 /// communication fractions from the *real* overlapped execution, side
 /// by side with the `sim.rs` model's predictions for the same matrix
-/// and partition; then engine-vs-respawn throughput; then a functional
-/// distributed block-CG solve through the engine.
+/// and partition; then a functional distributed block-CG solve through
+/// the engine.
 ///
 /// The model prices the paper's cluster (WSM nodes, InfiniBand), while
 /// the measurement runs node-threads on one machine with channel
@@ -238,34 +237,6 @@ pub fn engine(opts: &Options) {
         );
     }
 
-    // Engine vs respawn-per-call throughput on the same multiply.
-    section("Throughput: persistent engine vs respawn-per-call executor");
-    let iters = (4 * reps).max(8);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        engine.multiply_into(&x, &mut y);
-    }
-    let t_engine = t0.elapsed().as_secs_f64() / iters as f64;
-    let t1 = Instant::now();
-    for _ in 0..iters {
-        let _ = mrhs_cluster::exchange::execute(&dm, &x);
-    }
-    let t_respawn = t1.elapsed().as_secs_f64() / iters as f64;
-    println!(
-        "engine  {:>10} per multiply ({:.0}/s)",
-        f(t_engine * 1e3),
-        1.0 / t_engine
-    );
-    println!(
-        "respawn {:>10} per multiply ({:.0}/s)",
-        f(t_respawn * 1e3),
-        1.0 / t_respawn
-    );
-    println!(
-        "speedup {:>9.2}x (threads + channels + plans reused)",
-        t_respawn / t_engine
-    );
-
     // Functional distributed solve: block CG through the engine, checked
     // against the shared-memory solve on the same (permuted) matrix.
     section("Distributed block CG through the engine (vs shared-memory block CG)");
@@ -300,117 +271,6 @@ pub fn engine(opts: &Options) {
     );
 }
 
-/// Fused k-step halo exchange (`repro engine-powers`): measured
-/// comm-wait fraction of `multiply_powers_into` (one widened exchange
-/// covering the k-level dependency frontier) against `k` chained
-/// `multiply_into` calls (one exchange per multiply) on the persistent
-/// engine. The interior-node column is the acceptance number: slab ends
-/// have one neighbour, interior slabs two, so they carry the halo cost
-/// the fused exchange amortizes.
-pub fn engine_powers(opts: &Options) {
-    let nodes = 8usize;
-    let m = 8usize;
-    section(&format!(
-        "Fused k-step exchange vs per-multiply exchange (mat1, p = {nodes}, m = {m})"
-    ));
-    let (system, a) =
-        sd_system_and_matrix(opts.particles, TABLE1_CUTOFFS[0].1, opts.seed);
-    let part = coordinate_partition(
-        &a,
-        system.particles().positions(),
-        system.particles().box_lengths(),
-        nodes,
-    );
-    let dm = DistributedMatrix::new(&a, &part);
-    let n = dm.nb_rows() * 3;
-    let engine = DistEngine::new(dm);
-    let x = pseudo_x(n, m, opts.seed);
-    let reps = opts.reps.max(3);
-    let interior = 1..nodes - 1;
-
-    // Aggregate comm-wait fraction over a node range: total blocked
-    // time over total phase time, summed across those nodes.
-    let frac = |acc: &[mrhs_cluster::PhaseTimings],
-                range: std::ops::Range<usize>| {
-        let (mut wait, mut total) = (0.0, 0.0);
-        for t in &acc[range] {
-            wait += t.comm_wait;
-            total += t.total();
-        }
-        if total > 0.0 {
-            wait / total
-        } else {
-            0.0
-        }
-    };
-
-    println!(
-        "{:>3} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "k",
-        "seq int%",
-        "fused int%",
-        "seq slow%",
-        "fused slow%",
-        "seq msgs",
-        "fused msgs"
-    );
-    for k in [1usize, 2, 3, 4] {
-        let mut outs: Vec<MultiVec> =
-            (0..k).map(|_| MultiVec::zeros(n, m)).collect();
-        let mut y = MultiVec::zeros(n, m);
-
-        // Warm both paths (plan construction, thread wake-up).
-        engine.multiply_powers_into(&x, &mut outs);
-        engine.multiply_into(&x, &mut y);
-
-        let mut seq_acc = vec![mrhs_cluster::PhaseTimings::default(); nodes];
-        let mut fused_acc = vec![mrhs_cluster::PhaseTimings::default(); nodes];
-        let mut seq_msgs = 0usize;
-        let mut fused_msgs = 0usize;
-        for _ in 0..reps {
-            // k chained multiplies: one halo round each.
-            let mut cur = x.clone();
-            for _ in 0..k {
-                let stats = engine.multiply_into(&cur, &mut y);
-                for (acc, t) in seq_acc.iter_mut().zip(&stats.timings) {
-                    acc.comm_wait += t.comm_wait;
-                    acc.local += t.local;
-                    acc.remote += t.remote;
-                }
-                seq_msgs += stats.comm.recv_messages.iter().sum::<usize>();
-                std::mem::swap(&mut cur, &mut y);
-            }
-            // One fused wavefront: one widened halo round for all k.
-            let stats = engine.multiply_powers_into(&x, &mut outs);
-            for (acc, t) in fused_acc.iter_mut().zip(&stats.timings) {
-                acc.comm_wait += t.comm_wait;
-                acc.local += t.local;
-                acc.remote += t.remote;
-            }
-            fused_msgs += stats.comm.recv_messages.iter().sum::<usize>();
-        }
-        let slowest = |acc: &[mrhs_cluster::PhaseTimings]| {
-            acc.iter()
-                .map(mrhs_cluster::PhaseTimings::comm_fraction)
-                .fold(0.0f64, f64::max)
-        };
-        println!(
-            "{:>3} {:>11.0}% {:>11.0}% {:>11.0}% {:>11.0}% {:>10} {:>10}",
-            k,
-            100.0 * frac(&seq_acc, interior.clone()),
-            100.0 * frac(&fused_acc, interior.clone()),
-            100.0 * slowest(&seq_acc),
-            100.0 * slowest(&fused_acc),
-            seq_msgs / reps,
-            fused_msgs / reps
-        );
-    }
-    println!(
-        "(acceptance: fused interior comm-wait fraction below the sequential \
-         column at k >= 3; fused msgs stay one exchange round per k multiplies)"
-    );
-}
-
 /// Functional check printed alongside the model: the distributed
 /// multiply with real halo exchange must agree with the serial kernel.
 pub fn verify_exchange(opts: &Options) {
@@ -418,19 +278,12 @@ pub fn verify_exchange(opts: &Options) {
     let dm = distribute(opts, TABLE1_CUTOFFS[0].1, 8);
     let n = dm.nb_rows() * 3;
     let m = 8;
-    let mut x = mrhs_sparse::MultiVec::zeros(n, m);
-    let mut state = 1u64;
-    for v in x.as_mut_slice() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-    }
-    let (y, stats) = mrhs_cluster::exchange::execute(&dm, &x);
+    let x = pseudo_x(n, m, 1);
+    let (y, stats) = DistEngine::new(dm).multiply(&x);
     println!(
         "8 nodes, m = {m}: {} halo bytes over {} messages, |Y|max = {:.3}",
-        stats.total_bytes(),
-        stats.recv_messages.iter().sum::<usize>(),
+        stats.comm.total_bytes(),
+        stats.comm.recv_messages.iter().sum::<usize>(),
         y.max_abs()
     );
 }

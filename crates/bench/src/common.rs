@@ -22,9 +22,6 @@ pub struct Options {
     /// `--json <path>`: enable telemetry for the run and write a
     /// validated [`mrhs_telemetry::report::BenchReport`] there.
     pub json: Option<String>,
-    /// Run the SpMPV variant of an experiment (currently `ablation`):
-    /// fused matrix-power kernels vs repeated GSPMV sweeps.
-    pub spmpv: bool,
     /// Run the block-BiCGStab variant of an experiment (currently
     /// `ablation`): width-`m` block solves vs `m` scalar BiCGStab
     /// solves on a nonsymmetric operator.
@@ -39,7 +36,6 @@ impl Default for Options {
             seed: 20120521,
             symmetric: false,
             json: None,
-            spmpv: false,
             bicgstab: false,
         }
     }
@@ -74,7 +70,6 @@ impl Options {
                 }
                 "--full" => o.particles = 300_000,
                 "--symmetric" => o.symmetric = true,
-                "--spmpv" => o.spmpv = true,
                 "--bicgstab" => o.bicgstab = true,
                 "--json" => {
                     o.json =

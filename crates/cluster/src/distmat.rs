@@ -334,7 +334,7 @@ impl DistributedMatrix {
     }
 }
 
-/// One node's share of a fused `k`-step matrix-power context.
+/// One node's share of a fused `k`-level exchange context.
 #[derive(Clone, Debug)]
 pub struct NodePower {
     /// Extended matrix over the dependency frontier: `prefix[k−1]`
@@ -342,7 +342,7 @@ pub struct NodePower {
     /// indexing (`[own | ring₁ | … | ring_k]`).
     pub a_ext: BcrsMatrix,
     /// `prefix[j]` = block rows within graph distance `j` of the owned
-    /// range (`prefix[0]` = owned count). Level `p` of the power sweep
+    /// range (`prefix[0]` = owned count). Level `p` of a fused group
     /// computes rows `0..prefix[k−p]`.
     pub prefix: Vec<usize>,
     /// Global (permuted) block row id of each extended index.
@@ -364,8 +364,8 @@ impl NodePower {
 /// Precomputed state for fused `k`-step halo exchange: instead of `k`
 /// round trips (one per multiply), each node fetches its whole
 /// `k`-level dependency frontier — BFS rings 1..k of the partition
-/// graph — in **one** widened exchange, then computes all `k` power
-/// levels locally on the extended matrix (level `p` over rows
+/// graph — in **one** widened exchange, then computes all `k`
+/// recurrence levels locally on the extended matrix (level `p` over rows
 /// `0..prefix[k−p]`, shrinking toward the owned range). `k` multiplies
 /// thus cost one (larger) message per neighbor instead of `k`.
 ///
@@ -373,7 +373,7 @@ impl NodePower {
 /// cached by the engine; executors only read it.
 #[derive(Clone, Debug)]
 pub struct PowerContext {
-    /// Number of fused power levels.
+    /// Number of fused levels.
     pub k: usize,
     nodes: Vec<NodePower>,
     recv_plans: Vec<CommPlan>,

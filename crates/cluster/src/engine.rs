@@ -1,9 +1,7 @@
 //! Persistent distributed execution engine.
 //!
-//! [`crate::exchange::execute`] rebuilds channels and respawns every
-//! node thread on each call — fine for a one-shot functional check,
-//! useless under an iterative solver that multiplies hundreds of times.
-//! [`DistEngine`] is the solver-grade executor:
+//! [`DistEngine`] is the workspace's one distributed executor, built
+//! for iterative solvers that multiply hundreds of times:
 //!
 //! * **Persistent node workers.** One thread per node, spawned once at
 //!   construction, fed per-multiply jobs over channels and joined on
@@ -22,6 +20,11 @@
 //!   the local multiply finished), `local`, and `remote` — so measured
 //!   overlap can be compared against [`crate::sim::ClusterGspmvModel::
 //!   node_time`] for the same matrix and partition.
+//!
+//! * **Fused Chebyshev.** [`DistEngine::multiply_chebyshev_into`]
+//!   fetches each group's whole dependency frontier in one widened
+//!   exchange ([`PowerContext`]) and runs the group's recurrence
+//!   levels locally.
 //!
 //! The engine implements [`LinearOperator`] over the *permuted* global
 //! ordering (see [`DistributedMatrix::permutation`]), so
@@ -177,13 +180,6 @@ enum Job {
     Multiply {
         x_own: MultiVec,
     },
-    /// Fused `k`-step power multiply: one widened exchange fetches the
-    /// whole dependency frontier, then all `k` levels are computed
-    /// locally on the extended matrix.
-    MultiplyPowers {
-        x_own: MultiVec,
-        ctx: Arc<PowerContext>,
-    },
     /// One fused group of the shifted Chebyshev three-term recurrence:
     /// `ctx.k` levels computed locally after one widened exchange.
     /// `prev_own` carries `u_{p0−1}` for groups after the first (the
@@ -200,7 +196,8 @@ enum Job {
 
 struct NodeResult {
     node: usize,
-    /// One output block per power level (a plain multiply returns one).
+    /// One output block per recurrence level (a plain multiply returns
+    /// one).
     ys: Vec<MultiVec>,
     timings: PhaseTimings,
     bytes: usize,
@@ -219,7 +216,7 @@ pub struct DistEngine {
     /// Serializes multiplies: concurrent callers would interleave
     /// rendezvous rounds on the shared mailboxes.
     call_lock: Mutex<()>,
-    /// Fused-exchange contexts, built once per distinct `k` and shared
+    /// Fused-exchange contexts, built once per group depth and shared
     /// with the workers ([`DistributedMatrix::power_context`] walks the
     /// whole partition graph — far too expensive per multiply).
     power_ctxs: Mutex<HashMap<usize, Arc<PowerContext>>>,
@@ -322,76 +319,6 @@ impl DistEngine {
         Arc::clone(
             cache.entry(k).or_insert_with(|| Arc::new(self.dm.power_context(k))),
         )
-    }
-
-    /// Fused distributed matrix powers: `outs[p] = A^{p+1}·X` for
-    /// `p = 0..k` (permuted global ordering) with **one** widened halo
-    /// exchange for all `k` levels — each node fetches its `k`-level
-    /// dependency frontier up front and computes every level locally,
-    /// so `k` multiplies pay one message per neighbor instead of `k`.
-    pub fn multiply_powers_into(
-        &self,
-        x: &MultiVec,
-        outs: &mut [MultiVec],
-    ) -> EngineStats {
-        let k = outs.len();
-        if k == 0 {
-            return EngineStats::default();
-        }
-        let _guard = self.call_lock.lock().unwrap();
-        let m = x.m();
-        assert_eq!(x.n(), self.scalar_dim());
-        for out in outs.iter() {
-            assert_eq!(out.shape(), (self.scalar_dim(), m));
-        }
-        let p = self.dm.n_nodes();
-        let ctx = self.power_context(k);
-
-        for (q, node) in self.dm.nodes().iter().enumerate() {
-            let x_own = x.gather_rows(node.rows.start * 3..node.rows.end * 3);
-            self.job_tx[q]
-                .send(Job::MultiplyPowers { x_own, ctx: Arc::clone(&ctx) })
-                .expect("engine worker alive");
-        }
-
-        let mut stats = EngineStats {
-            timings: vec![PhaseTimings::default(); p],
-            comm: CommStats { recv_bytes: vec![0; p], recv_messages: vec![0; p] },
-        };
-        for _ in 0..p {
-            let res = self.result_rx.recv().expect("engine worker result");
-            let base = self.dm.nodes()[res.node].rows.start * 3;
-            for (out, part) in outs.iter_mut().zip(&res.ys) {
-                for r in 0..part.n() {
-                    out.row_mut(base + r).copy_from_slice(part.row(r));
-                }
-            }
-            stats.timings[res.node] = res.timings;
-            stats.comm.recv_bytes[res.node] = res.bytes;
-            stats.comm.recv_messages[res.node] = res.messages;
-        }
-        if mrhs_telemetry::enabled() {
-            mrhs_telemetry::counter_add("engine/power_multiplies", 1);
-            mrhs_telemetry::counter_add(
-                &format!("engine/powers/k{k}/multiplies"),
-                1,
-            );
-        }
-        record_engine_telemetry(&stats);
-        *self.last_stats.lock().unwrap() = stats.clone();
-        stats
-    }
-
-    /// Allocating wrapper around [`DistEngine::multiply_powers_into`].
-    pub fn multiply_powers(
-        &self,
-        x: &MultiVec,
-        k: usize,
-    ) -> (Vec<MultiVec>, EngineStats) {
-        let mut outs: Vec<MultiVec> =
-            (0..k).map(|_| MultiVec::zeros(self.scalar_dim(), x.m())).collect();
-        let stats = self.multiply_powers_into(x, &mut outs);
-        (outs, stats)
     }
 
     /// Stats of the most recent multiply — how solver-driven
@@ -542,12 +469,6 @@ impl LinearOperator for DistEngine {
         self.multiply_into(x, y);
     }
 
-    /// Routes the s-step basis sweep through the fused exchange: one
-    /// widened halo round instead of `outs.len()` round trips.
-    fn apply_powers(&self, x: &MultiVec, outs: &mut [MultiVec]) {
-        self.multiply_powers_into(x, outs);
-    }
-
     /// Routes `solvers::chebyshev::apply_multi` through the fused
     /// distributed recurrence: one widened exchange per coefficient
     /// group instead of one halo round per term.
@@ -630,12 +551,6 @@ fn node_main(
                     messages: plan_in.len(),
                 }
             }
-            Ok(Job::MultiplyPowers { x_own, ctx }) => {
-                match node_powers(dm, q, &x_own, &ctx, &halo_rx, &halo_tx) {
-                    Some(res) => res,
-                    None => return,
-                }
-            }
             Ok(Job::MultiplyChebyshev { x_own, prev_own, mid, half, ctx }) => {
                 match node_chebyshev(
                     dm,
@@ -660,106 +575,14 @@ fn node_main(
     }
 }
 
-/// One node's share of a fused `k`-step power multiply: post the
-/// *widened* sends (the peer's whole frontier slice), seed the extended
-/// operand with the owned values, drain the one-shot exchange, then run
-/// all `k` levels on the extended matrix — level `p` over the shrinking
-/// row range `0..prefix[k−p]`, through the active [`mrhs_sparse::
-/// KernelBackend`] row kernel. Returns `None` when the engine dropped
-/// mid-flight.
-fn node_powers(
-    dm: &DistributedMatrix,
-    q: usize,
-    x_own: &MultiVec,
-    ctx: &PowerContext,
-    halo_rx: &Receiver<HaloMessage>,
-    halo_tx: &[Sender<HaloMessage>],
-) -> Option<NodeResult> {
-    let node = &dm.nodes()[q];
-    let own = node.rows.len();
-    let m = x_own.m();
-    let np = ctx.node(q);
-    let k = ctx.k;
-    let ext_n = np.prefix[k] * 3;
-
-    // Widened sends: each peer's whole k-level frontier slice at once.
-    for (dst, rows) in ctx.send_plan(q) {
-        let data = pack_rows(node, x_own, rows);
-        if halo_tx[*dst].send(HaloMessage { from: q, data }).is_err() {
-            return None;
-        }
-    }
-
-    // Seed the extended operand with the owned values while the
-    // (single) exchange is in flight.
-    let t_local = Instant::now();
-    let mut cur = MultiVec::zeros(ext_n, m);
-    for r in 0..own * 3 {
-        cur.row_mut(r).copy_from_slice(x_own.row(r));
-    }
-    let local = t_local.elapsed().as_secs_f64();
-
-    // Drain the one-shot widened exchange.
-    let plan_in = ctx.recv_plan(q);
-    let mut comm_wait = 0.0f64;
-    let mut bytes = 0usize;
-    for _ in 0..plan_in.len() {
-        let t_wait = Instant::now();
-        let msg = match halo_rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => return None,
-        };
-        comm_wait += t_wait.elapsed().as_secs_f64();
-        let (_, rows) = plan_in
-            .iter()
-            .find(|(peer, _)| *peer == msg.from)
-            .expect("unexpected sender");
-        bytes += msg.data.as_slice().len() * 8;
-        for (i, &g) in rows.iter().enumerate() {
-            let c = np.ext_col(g);
-            for d in 0..3 {
-                cur.row_mut(3 * c + d).copy_from_slice(msg.data.row(3 * i + d));
-            }
-        }
-    }
-
-    // All k levels, communication-free: ping-pong extended buffers,
-    // each level computed over its shrinking frontier prefix.
-    let t_remote = Instant::now();
-    let backend = active_backend();
-    let mut next = MultiVec::zeros(ext_n, m);
-    let mut ys = Vec::with_capacity(k);
-    for p in 1..=k {
-        let rows_p = np.prefix[k - p];
-        backend.gspmv_rows(
-            &np.a_ext,
-            cur.as_slice(),
-            &mut next.as_mut_slice()[..rows_p * 3 * m],
-            m,
-            0..rows_p,
-        );
-        let mut yp = MultiVec::zeros(own * 3, m);
-        for r in 0..own * 3 {
-            yp.row_mut(r).copy_from_slice(next.row(r));
-        }
-        ys.push(yp);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    let remote = t_remote.elapsed().as_secs_f64();
-
-    Some(NodeResult {
-        node: q,
-        ys,
-        timings: PhaseTimings { comm_wait, local, remote },
-        bytes,
-        messages: plan_in.len(),
-    })
-}
-
-/// One node's share of one fused Chebyshev group: like [`node_powers`],
-/// but running `ctx.k` levels of the *shifted three-term recurrence*
-/// (`u_{j+1} = 2·Ã·u_j − u_{j−1}`) on the extended matrix through the
+/// One node's share of one fused Chebyshev group: post the *widened*
+/// sends (the peer's whole frontier slice), seed the extended operands
+/// with the owned values, drain the one-shot exchange, then run
+/// `ctx.k` levels of the *shifted three-term recurrence*
+/// (`u_{j+1} = 2·Ã·u_j − u_{j−1}`) on the extended matrix — level `j`
+/// over the shrinking row range `0..prefix[k−j]` — through the
 /// backend's [`mrhs_sparse::KernelBackend::cheb_shifted_rows`] kernel.
+/// Returns `None` when the engine dropped mid-flight.
 /// Groups after the first also need the carried `u_{p0−1}` frontier, so
 /// each peer sends **two** messages over the same FIFO channel — the
 /// receiver pairs the first message from a peer with the current level
@@ -941,14 +764,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_serial_and_respawn_executor() {
+    fn engine_matches_serial_with_closed_form_comm() {
         with_deadline(Duration::from_secs(120), || {
             let a = random_symmetric(48, 4, 5);
-            for p in [1usize, 2, 4, 7] {
-                let part = contiguous_partition(&a, p);
-                let dm = DistributedMatrix::new(&a, &part);
+            // Contiguous partitions (p = 1 must move nothing) plus a
+            // round-robin assignment: heavy halo, stresses the remap.
+            let mut parts: Vec<Partition> = [1usize, 2, 4, 7]
+                .iter()
+                .map(|&p| contiguous_partition(&a, p))
+                .collect();
+            parts.push(Partition::from_assignment(
+                3,
+                (0..48).map(|i| (i % 3) as u32).collect(),
+            ));
+            for part in &parts {
+                let dm = DistributedMatrix::new(&a, part);
                 let permuted = permute_symmetric(&a, dm.permutation());
-                let engine = DistEngine::new(dm.clone());
+                let volume: usize = dm.recv_volumes().iter().sum();
+                let plan_msgs: Vec<usize> =
+                    (0..dm.n_nodes()).map(|q| dm.recv_plan(q).len()).collect();
+                let engine = DistEngine::new(dm);
                 for m in [1usize, 3, 8] {
                     let x = pseudo_multivec(a.n_rows(), m, 7 + m as u64);
                     let (y, stats) = engine.multiply(&x);
@@ -957,9 +792,13 @@ mod tests {
                     for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
                         assert!((u - v).abs() < 1e-12, "{u} vs {v}");
                     }
-                    let (y2, stats2) = crate::exchange::execute(&dm, &x);
-                    assert_eq!(y.as_slice(), y2.as_slice());
-                    assert_eq!(stats.comm, stats2);
+                    // Every halo block row arrives once, as 3 scalar
+                    // rows of m f64s, in one message per plan peer.
+                    assert_eq!(stats.comm.total_bytes(), volume * 3 * m * 8);
+                    assert_eq!(stats.comm.recv_messages, plan_msgs);
+                    if part.n_parts() == 1 {
+                        assert_eq!(stats.comm.total_bytes(), 0);
+                    }
                 }
             }
         });
@@ -991,19 +830,30 @@ mod tests {
 
     #[test]
     fn engine_survives_empty_partitions() {
+        // More nodes than block rows: several partitions are empty and
+        // share identical (empty) row ranges, so a node must be
+        // identified by index, never by range equality. Contiguous and
+        // interleaved empty parts both.
         with_deadline(Duration::from_secs(60), || {
             let a = random_symmetric(5, 2, 3);
-            let assignment: Vec<u32> = (0..5).map(|i| (2 * i as u32) % 9).collect();
-            let part = Partition::from_assignment(9, assignment);
-            let dm = DistributedMatrix::new(&a, &part);
-            let permuted = permute_symmetric(&a, dm.permutation());
-            let engine = DistEngine::new(dm);
-            let x = pseudo_multivec(a.n_rows(), 4, 13);
-            let (y, _) = engine.multiply(&x);
-            let mut want = MultiVec::zeros(a.n_rows(), 4);
-            gspmv_serial(&permuted, &x, &mut want);
-            for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
-                assert!((u - v).abs() < 1e-12);
+            for p in [6usize, 8, 9, 11] {
+                let interleaved: Vec<u32> =
+                    (0..5).map(|i| (2 * i as u32) % p as u32).collect();
+                for part in [
+                    contiguous_partition(&a, p),
+                    Partition::from_assignment(p, interleaved),
+                ] {
+                    let dm = DistributedMatrix::new(&a, &part);
+                    let permuted = permute_symmetric(&a, dm.permutation());
+                    let engine = DistEngine::new(dm);
+                    let x = pseudo_multivec(a.n_rows(), 4, 13);
+                    let (y, _) = engine.multiply(&x);
+                    let mut want = MultiVec::zeros(a.n_rows(), 4);
+                    gspmv_serial(&permuted, &x, &mut want);
+                    for (u, v) in y.as_slice().iter().zip(want.as_slice()) {
+                        assert!((u - v).abs() < 1e-12, "p={p}: {u} vs {v}");
+                    }
+                }
             }
         });
     }
@@ -1079,215 +929,6 @@ mod tests {
                 );
             }
             assert!(diff.counter("engine/multiplies") >= 1);
-        });
-    }
-
-    #[test]
-    fn fused_powers_match_serial_powers() {
-        with_deadline(Duration::from_secs(120), || {
-            let a = random_symmetric(48, 4, 5);
-            for p in [1usize, 2, 4] {
-                let part = contiguous_partition(&a, p);
-                let dm = DistributedMatrix::new(&a, &part);
-                let permuted = permute_symmetric(&a, dm.permutation());
-                let engine = DistEngine::new(dm);
-                for k in [1usize, 2, 3] {
-                    let m = 4;
-                    let x = pseudo_multivec(a.n_rows(), m, 31 + k as u64);
-                    let (ys, stats) = engine.multiply_powers(&x, k);
-                    assert_eq!(ys.len(), k);
-                    // Serial reference: repeated full-matrix multiplies.
-                    let mut want = Vec::with_capacity(k);
-                    let mut prev = x.clone();
-                    for _ in 0..k {
-                        let mut y = MultiVec::zeros(a.n_rows(), m);
-                        gspmv_serial(&permuted, &prev, &mut y);
-                        want.push(y.clone());
-                        prev = y;
-                    }
-                    for (lvl, (y, w)) in ys.iter().zip(&want).enumerate() {
-                        let scale = w.max_abs().max(1.0);
-                        for (u, v) in y.as_slice().iter().zip(w.as_slice()) {
-                            assert!(
-                                (u - v).abs() <= 1e-12 * scale,
-                                "p={p} k={k} level {lvl}: {u} vs {v}"
-                            );
-                        }
-                    }
-                    assert_eq!(stats.timings.len(), p);
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn fused_powers_use_one_exchange_round() {
-        with_deadline(Duration::from_secs(60), || {
-            // Deterministic chain: every partition boundary carries an
-            // edge, so each interior node talks to both neighbours.
-            let nb = 32;
-            let mut t = BlockTripletBuilder::square(nb);
-            for i in 0..nb {
-                t.add(i, i, Block3::scaled_identity(4.0));
-                if i + 1 < nb {
-                    t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.0));
-                }
-            }
-            let a = t.build();
-            let part = contiguous_partition(&a, 4);
-            let dm = DistributedMatrix::new(&a, &part);
-            let engine = DistEngine::new(dm);
-            let x = pseudo_multivec(a.n_rows(), 4, 3);
-            let k = 3;
-
-            // k separate multiplies: each interior node waits on its
-            // 2 neighbours every round → 2k messages.
-            let mut y = MultiVec::zeros(a.n_rows(), 4);
-            let mut rounds_msgs = [0usize; 4];
-            let mut cur = x.clone();
-            for _ in 0..k {
-                let stats = engine.multiply_into(&cur, &mut y);
-                for (t, s) in rounds_msgs.iter_mut().zip(&stats.comm.recv_messages)
-                {
-                    *t += s;
-                }
-                cur = y.clone();
-            }
-
-            // One fused call: the same k levels, one widened round.
-            let (_, fused) = engine.multiply_powers(&x, k);
-            for (q, &total) in rounds_msgs.iter().enumerate() {
-                assert!(
-                    fused.comm.recv_messages[q] < total,
-                    "node {q}: fused {} vs {total} over {k} rounds",
-                    fused.comm.recv_messages[q],
-                );
-                // The widened exchange still talks to the same peers
-                // only once.
-                assert_eq!(fused.comm.recv_messages[q] * k, total, "node {q}");
-            }
-        });
-    }
-
-    #[test]
-    fn apply_powers_goes_through_fused_exchange() {
-        with_deadline(Duration::from_secs(60), || {
-            mrhs_telemetry::set_enabled(true);
-            let a = random_symmetric(30, 2, 19);
-            let part = contiguous_partition(&a, 3);
-            let dm = DistributedMatrix::new(&a, &part);
-            let engine = DistEngine::new(dm);
-            let x = pseudo_multivec(a.n_rows(), 3, 11);
-            let before = mrhs_telemetry::snapshot();
-            let mut outs: Vec<MultiVec> =
-                (0..3).map(|_| MultiVec::zeros(a.n_rows(), 3)).collect();
-            LinearOperator::apply_powers(&engine, &x, &mut outs);
-            let diff = mrhs_telemetry::snapshot().diff(&before);
-            assert!(diff.counter("engine/power_multiplies") >= 1);
-            assert!(diff.counter("engine/powers/k3/multiplies") >= 1);
-
-            // And the values chain correctly: outs[1] == A·outs[0].
-            let mut want = MultiVec::zeros(a.n_rows(), 3);
-            engine.multiply_into(&outs[0], &mut want);
-            let scale = want.max_abs().max(1.0);
-            for (u, v) in outs[1].as_slice().iter().zip(want.as_slice()) {
-                assert!((u - v).abs() <= 1e-12 * scale);
-            }
-        });
-    }
-
-    #[test]
-    fn fused_powers_survive_empty_partitions() {
-        with_deadline(Duration::from_secs(60), || {
-            let a = random_symmetric(5, 2, 3);
-            let assignment: Vec<u32> = (0..5).map(|i| (2 * i as u32) % 9).collect();
-            let part = Partition::from_assignment(9, assignment);
-            let dm = DistributedMatrix::new(&a, &part);
-            let permuted = permute_symmetric(&a, dm.permutation());
-            let engine = DistEngine::new(dm);
-            let x = pseudo_multivec(a.n_rows(), 2, 13);
-            let (ys, _) = engine.multiply_powers(&x, 2);
-            let mut y1 = MultiVec::zeros(a.n_rows(), 2);
-            gspmv_serial(&permuted, &x, &mut y1);
-            let mut y2 = MultiVec::zeros(a.n_rows(), 2);
-            gspmv_serial(&permuted, &y1, &mut y2);
-            for (got, want) in ys.iter().zip([&y1, &y2]) {
-                let scale = want.max_abs().max(1.0);
-                for (u, v) in got.as_slice().iter().zip(want.as_slice()) {
-                    assert!((u - v).abs() <= 1e-12 * scale);
-                }
-            }
-        });
-    }
-
-    /// Forwards to a [`DistEngine`], recording the depth of every power
-    /// sweep it is asked for and the per-node bytes the engine received
-    /// for it.
-    struct PowerSweeps<'a> {
-        engine: &'a DistEngine,
-        sweeps: Mutex<Vec<(usize, Vec<usize>)>>,
-    }
-
-    impl LinearOperator for PowerSweeps<'_> {
-        fn dim(&self) -> usize {
-            self.engine.dim()
-        }
-        fn apply(&self, x: &[f64], y: &mut [f64]) {
-            self.engine.apply(x, y);
-        }
-        fn apply_multi(&self, x: &MultiVec, y: &mut MultiVec) {
-            self.engine.apply_multi(x, y);
-        }
-        fn apply_powers(&self, x: &MultiVec, outs: &mut [MultiVec]) {
-            self.engine.apply_powers(x, outs);
-            let recv_bytes = self.engine.last_stats().comm.recv_bytes;
-            self.sweeps.lock().unwrap().push((outs.len(), recv_bytes));
-        }
-    }
-
-    #[test]
-    fn sstep_cg_on_engine_pays_one_exchange_per_cycle() {
-        with_deadline(Duration::from_secs(120), || {
-            // SPD chain so the solver converges; the s-step basis sweep
-            // must route through the fused exchange.
-            let nb = 24;
-            let mut t = BlockTripletBuilder::square(nb);
-            for i in 0..nb {
-                t.add(i, i, Block3::scaled_identity(4.0));
-                if i + 1 < nb {
-                    t.add_symmetric_pair(i, i + 1, Block3::scaled_identity(-1.0));
-                }
-            }
-            let a = t.build();
-            let part = contiguous_partition(&a, 3);
-            let dm = DistributedMatrix::new(&a, &part);
-            let engine = DistEngine::new(dm);
-
-            let m = 2;
-            let b = pseudo_multivec(a.n_rows(), m, 9);
-            let mut x = MultiVec::zeros(a.n_rows(), m);
-            let cfg = mrhs_solvers::SolveConfig { tol: 1e-8, max_iter: 400 };
-            // Check this engine's own stats per sweep, not the
-            // process-wide counters other tests bump concurrently. A
-            // fused depth-3 sweep receives the widened depth-3 frontier
-            // in its one exchange; an unfused sweep would leave a single
-            // plain round, which carries fewer bytes, in `last_stats`.
-            let (_, fused) = engine.multiply_powers(&b, 3);
-            let (_, round) = engine.multiply(&b);
-            assert!(
-                fused.comm.recv_bytes.iter().sum::<usize>()
-                    > round.comm.recv_bytes.iter().sum::<usize>()
-            );
-            let counted =
-                PowerSweeps { engine: &engine, sweeps: Mutex::new(Vec::new()) };
-            let res = mrhs_solvers::sstep_cg(&counted, &b, &mut x, 3, &cfg);
-            assert!(res.converged, "{res:?}");
-            let sweeps = counted.sweeps.into_inner().unwrap();
-            assert_eq!(
-                sweeps,
-                vec![(3, fused.comm.recv_bytes.clone()); res.cycles],
-                "one fused depth-3 exchange per cycle"
-            );
         });
     }
 

@@ -11,9 +11,9 @@
 //! wraps the engine as a [`LinearOperator`] over the **original**
 //! ordering — operands are permuted in, results permuted back out, at
 //! `O(n·m)` per apply (noise against the multiply itself). The fused
-//! fast paths (`apply_powers`, `apply_chebyshev`) are forwarded through
-//! the same permutation, so a partitioned tenant still pays one widened
-//! exchange per group.
+//! Chebyshev path (`apply_chebyshev`) is forwarded through the same
+//! permutation, so a partitioned tenant still pays one widened exchange
+//! per group.
 
 use crate::distmat::DistributedMatrix;
 use crate::engine::DistEngine;
@@ -82,16 +82,6 @@ impl LinearOperator for PermutedEngine {
         let xp = self.to_engine(x);
         let (yp, _) = self.engine.multiply(&xp);
         self.unpermute_from_engine(&yp, y);
-    }
-
-    fn apply_powers(&self, x: &MultiVec, outs: &mut [MultiVec]) {
-        let xp = self.to_engine(x);
-        let mut outs_p: Vec<MultiVec> =
-            outs.iter().map(|o| MultiVec::zeros(o.n(), o.m())).collect();
-        self.engine.multiply_powers_into(&xp, &mut outs_p);
-        for (out, op) in outs.iter_mut().zip(&outs_p) {
-            self.unpermute_from_engine(op, out);
-        }
     }
 
     fn apply_chebyshev(
@@ -166,28 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn permuted_fast_paths_match_original_ordering() {
+    fn permuted_chebyshev_matches_original_ordering() {
         with_deadline(Duration::from_secs(120), || {
             let a = banded(20);
             let part = contiguous_partition(&a, 4);
             let dm = DistributedMatrix::new(&a, &part);
             let engine = PermutedEngine::new(DistEngine::new(dm));
             let x = pseudo(a.n_rows(), 3, 11);
-
-            // Powers against repeated original-order multiplies.
-            let mut outs: Vec<MultiVec> =
-                (0..3).map(|_| MultiVec::zeros(a.n_rows(), 3)).collect();
-            engine.apply_powers(&x, &mut outs);
-            let mut prev = x.clone();
-            for (lvl, out) in outs.iter().enumerate() {
-                let mut want = MultiVec::zeros(a.n_rows(), 3);
-                gspmv_serial(&a, &prev, &mut want);
-                let scale = want.max_abs().max(1.0);
-                for (u, v) in out.as_slice().iter().zip(want.as_slice()) {
-                    assert!((u - v).abs() <= 1e-12 * scale, "level {lvl}");
-                }
-                prev = want;
-            }
 
             // Chebyshev against the serial fused kernel on the original
             // matrix.

@@ -159,27 +159,75 @@ pub fn run_standard(scale: Scale) -> Report {
     )
 }
 
-/// Fused power depths the SpMPV differential sweeps: a degenerate
-/// depth, a two-level wavefront, and the Chebyshev grouping depth.
-const POWER_DEPTHS: [usize; 3] = [1, 2, 4];
+/// Chebyshev orders the fused-recurrence differential sweeps: one
+/// level, a two-level group, one full group of
+/// [`mrhs_sparse::SPMPV_MAX_DEPTH`] (4) levels, a full group plus a
+/// `d = 1` tail, and two full groups plus a tail.
+const CHEB_ORDERS: [usize; 5] = [1, 2, 4, 5, 9];
 
-/// The SpMPV power differential: for every *square* corpus entry,
-/// depth `k`, and available backend kind, the fused matrix-power
-/// wavefront must be **bitwise identical** to `k` repeated serial
-/// GSPMV sweeps of the same kind — the definition of the power chain —
+/// The unfused shifted-Chebyshev sum `c_0/2·z + Σ_p c_p·T_p(Ã) z`,
+/// `Ã = (A − mid·I)/half`, through one kind's full-sweep serial GSPMV
+/// and the same elementwise combine, in the same order, as the backend
+/// row kernel `cheb_shifted_rows` — so per kind the fused wavefront
+/// must reproduce it bit for bit.
+fn unfused_chebyshev(
+    kind: mrhs_sparse::KernelKind,
+    a: &mrhs_sparse::BcrsMatrix,
+    z: &mrhs_sparse::MultiVec,
+    mid: f64,
+    half: f64,
+    coeffs: &[f64],
+) -> mrhs_sparse::MultiVec {
+    use mrhs_sparse::{gspmv_serial_with, MultiVec};
+
+    let inv = 1.0 / half;
+    // `2·(A·u − mid·u)/half − prev`, or `(A·u − mid·u)/half` for u_1.
+    let step = |cur: &MultiVec, prev: Option<&MultiVec>| {
+        let mut out = MultiVec::zeros(cur.n(), cur.m());
+        gspmv_serial_with(kind, a, cur, &mut out);
+        let pairs = out.as_mut_slice().iter_mut().zip(cur.as_slice());
+        match prev {
+            None => pairs.for_each(|(o, &c)| *o = (*o - mid * c) * inv),
+            Some(pv) => pairs
+                .zip(pv.as_slice())
+                .for_each(|((o, &c), &p)| *o = 2.0 * ((*o - mid * c) * inv) - p),
+        }
+        out
+    };
+    let half_c0 = 0.5 * coeffs[0];
+    let mut y = MultiVec::zeros(z.n(), z.m());
+    for (yv, zv) in y.as_mut_slice().iter_mut().zip(z.as_slice()) {
+        *yv = half_c0 * zv;
+    }
+    let mut prev: Option<MultiVec> = None;
+    let mut cur = z.clone();
+    for &c in &coeffs[1..] {
+        let next = step(&cur, prev.as_ref());
+        for (yv, uv) in y.as_mut_slice().iter_mut().zip(next.as_slice()) {
+            *yv += c * *uv;
+        }
+        prev = Some(std::mem::replace(&mut cur, next));
+    }
+    y
+}
+
+/// The fused Chebyshev differential: for every *square* corpus entry,
+/// `m`, order in `CHEB_ORDERS`, and available backend kind, the
+/// level-blocked [`mrhs_sparse::spmpv_chebyshev_with_plan`] must be
+/// **bitwise identical** to `unfused_chebyshev` of the same kind —
 /// both under the default plan and under a deliberately tiny chunk
 /// size that forces a multi-chunk anti-diagonal wavefront. Across
-/// kinds, the deepest level must stay tolerance-equal (power chains
-/// amplify kernel-level reassociation, so the cross-kind check uses
-/// the scalar chain as reference).
+/// kinds, the fused sum must stay tolerance-equal to the scalar
+/// recurrence. The interval `(mid, half)` comes from the entry's
+/// Gershgorin bounds, so `Ã` keeps the recurrence well scaled.
 ///
 /// This cannot ride on [`run_differential`]: its runner assumes every
 /// backend computes `Y = A·X` against one dense reference, while the
-/// power backends compute `A^k·X` per kind.
-pub fn run_power_differential(scale: Scale) -> Report {
+/// Chebyshev kernel computes a polynomial in `A` per kind.
+pub fn run_chebyshev_differential(scale: Scale) -> Report {
     use mrhs_sparse::{
-        backend_available, gspmv_serial_with, spmpv_powers_with,
-        spmpv_powers_with_plan, KernelKind, MultiVec, PowerPlan,
+        backend_available, spmpv_chebyshev_with_plan, KernelKind, MultiVec,
+        PowerPlan,
     };
 
     let entries = crate::corpus::corpus(scale);
@@ -187,89 +235,69 @@ pub fn run_power_differential(scale: Scale) -> Report {
     let tol = TolModel::KERNEL;
     let mut report = Report::default();
 
-    // `k` sequential sweeps through one kind's serial kernel.
-    let chain = |kind: KernelKind, a, x: &MultiVec, k: usize| -> Vec<MultiVec> {
-        let n = x.n();
-        let m = x.m();
-        let mut seq = Vec::with_capacity(k);
-        let mut prev = x.clone();
-        for _ in 0..k {
-            let mut y = MultiVec::zeros(n, m);
-            gspmv_serial_with(kind, a, &prev, &mut y);
-            prev = y.clone();
-            seq.push(y);
-        }
-        seq
-    };
-
     for (ei, entry) in entries.iter().enumerate() {
         let a = &entry.matrix;
         if a.nb_rows() != a.nb_cols() {
-            continue; // powers need a square operator
+            continue; // the recurrence needs a square operator
         }
         let n = a.n_rows();
+        let (lo, hi) = (a.gershgorin_lower_bound(), a.gershgorin_upper_bound());
+        let (mid, half) = (0.5 * (hi + lo), (0.5 * (hi - lo)).max(1.0));
+        let plans = [
+            ("default plan", PowerPlan::new(a)),
+            ("forced-chunk plan", PowerPlan::with_chunk_rows(a, 3)),
+        ];
         for (mi, &m) in ms.iter().enumerate() {
-            let x = pseudo_multivec(
+            let z = pseudo_multivec(
                 n,
                 m,
                 0x51ed_2701 ^ ((ei as u64) << 32) ^ mi as u64,
             );
-            for &k in &POWER_DEPTHS {
-                let scalar_chain = chain(KernelKind::Scalar, a, &x, k);
+            for &order in &CHEB_ORDERS {
+                let coeffs: Vec<f64> = (0..=order)
+                    .map(|p| if p % 2 == 0 { 1.0 } else { -0.6 } / (1.0 + p as f64))
+                    .collect();
+                let scalar_ref = unfused_chebyshev(
+                    KernelKind::Scalar,
+                    a,
+                    &z,
+                    mid,
+                    half,
+                    &coeffs,
+                );
                 for kind in KernelKind::ALL {
                     if !backend_available(kind) {
                         continue;
                     }
-                    let ctx = format!("{} m={m} k={k} {kind:?}", entry.name);
-                    let seq = if kind == KernelKind::Scalar {
-                        scalar_chain.clone()
+                    let ctx =
+                        format!("{} m={m} order={order} {kind:?}", entry.name);
+                    let want = if kind == KernelKind::Scalar {
+                        scalar_ref.clone()
                     } else {
-                        chain(kind, a, &x, k)
+                        unfused_chebyshev(kind, a, &z, mid, half, &coeffs)
                     };
-
-                    // Fused, default plan: bitwise per level.
-                    let mut outs: Vec<MultiVec> =
-                        (0..k).map(|_| MultiVec::zeros(n, m)).collect();
-                    spmpv_powers_with(kind, a, &x, &mut outs);
-                    for (lvl, (y, w)) in outs.iter().zip(&seq).enumerate() {
+                    for (label, plan) in &plans {
+                        let mut y = MultiVec::zeros(n, m);
+                        spmpv_chebyshev_with_plan(
+                            kind, a, plan, &z, mid, half, &coeffs, &mut y,
+                        );
                         report.checks += 1;
                         if let Err(e) = check_bitwise(
-                            w.as_slice(),
+                            want.as_slice(),
                             y.as_slice(),
-                            &format!("{ctx}: level {lvl} vs sequential"),
+                            &format!("{ctx}: fused ({label}) vs unfused"),
                         ) {
                             report.failures.push(e);
                         }
-                    }
-
-                    // Fused, forced multi-chunk wavefront: still bitwise.
-                    let plan = PowerPlan::with_chunk_rows(a, 3);
-                    let mut fused: Vec<MultiVec> =
-                        (0..k).map(|_| MultiVec::zeros(n, m)).collect();
-                    spmpv_powers_with_plan(kind, a, &plan, &x, &mut fused);
-                    for (lvl, (y, w)) in fused.iter().zip(&seq).enumerate() {
-                        report.checks += 1;
-                        if let Err(e) = check_bitwise(
-                            w.as_slice(),
-                            y.as_slice(),
-                            &format!(
-                                "{ctx}: level {lvl} forced-chunk vs sequential"
-                            ),
-                        ) {
-                            report.failures.push(e);
-                        }
-                    }
-
-                    // Across kinds: deepest level tolerance-equal to the
-                    // scalar chain.
-                    if kind != KernelKind::Scalar {
-                        report.checks += 1;
-                        if let Err(e) = tol.check_slices(
-                            scalar_chain[k - 1].as_slice(),
-                            outs[k - 1].as_slice(),
-                            &format!("{ctx}: deepest level vs scalar chain"),
-                        ) {
-                            report.failures.push(e);
+                        if kind != KernelKind::Scalar {
+                            report.checks += 1;
+                            if let Err(e) = tol.check_slices(
+                                scalar_ref.as_slice(),
+                                y.as_slice(),
+                                &format!("{ctx}: fused ({label}) vs scalar"),
+                            ) {
+                                report.failures.push(e);
+                            }
                         }
                     }
                 }

@@ -4,7 +4,7 @@
 use mrhs_cluster::watchdog::with_deadline;
 use oracle::corpus::Scale;
 use oracle::runner::{
-    run_nonsym_differential, run_power_differential, run_standard,
+    run_chebyshev_differential, run_nonsym_differential, run_standard,
 };
 use std::time::Duration;
 
@@ -22,17 +22,18 @@ fn all_backends_agree_on_small_corpus() {
     report.assert_ok();
 }
 
-/// SpMPV power gate: fused `A^k·X` bitwise-identical to `k` repeated
-/// serial sweeps per backend kind (default and forced-multi-chunk
-/// plans), tolerance-equal across kinds, over the square corpus.
+/// Fused Chebyshev gate: the level-blocked `S(R)·Z` recurrence
+/// bitwise-identical to the unfused full-sweep recurrence per backend
+/// kind (default and forced-multi-chunk plans), tolerance-equal across
+/// kinds, over the square corpus.
 #[test]
-fn spmpv_powers_agree_on_small_corpus() {
+fn spmpv_chebyshev_agree_on_small_corpus() {
     let report = with_deadline(Duration::from_secs(300), || {
-        run_power_differential(Scale::Small)
+        run_chebyshev_differential(Scale::Small)
     });
     assert!(
         report.checks > 500,
-        "power differential ran only {} checks — corpus or depth grid shrank",
+        "Chebyshev differential ran only {} checks — corpus or order grid shrank",
         report.checks
     );
     report.assert_ok();

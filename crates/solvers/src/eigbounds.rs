@@ -159,7 +159,7 @@ pub fn spectral_bounds<A: LinearOperator + ?Sized>(
 
 /// Number of eigenvalues of the symmetric tridiagonal `(alpha, beta)`
 /// strictly less than `x` (Sturm sequence count).
-pub(crate) fn sturm_count(alpha: &[f64], beta: &[f64], x: f64) -> usize {
+fn sturm_count(alpha: &[f64], beta: &[f64], x: f64) -> usize {
     let mut count = 0;
     let mut d = 1.0f64;
     for (i, &a) in alpha.iter().enumerate() {
@@ -170,40 +170,6 @@ pub(crate) fn sturm_count(alpha: &[f64], beta: &[f64], x: f64) -> usize {
         }
     }
     count
-}
-
-/// Finds the `target`-th smallest eigenvalue (1-based) of the symmetric
-/// tridiagonal by bisection with Sturm counts.
-pub(crate) fn tridiag_kth_eigenvalue(
-    alpha: &[f64],
-    beta: &[f64],
-    target: usize,
-) -> f64 {
-    let m = alpha.len();
-    assert!(m > 0 && (1..=m).contains(&target));
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for i in 0..m {
-        let r = if i == 0 { 0.0 } else { beta[i - 1].abs() }
-            + if i + 1 < m { beta[i].abs() } else { 0.0 };
-        lo = lo.min(alpha[i] - r);
-        hi = hi.max(alpha[i] + r);
-    }
-    if m == 1 {
-        return alpha[0];
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if sturm_count(alpha, beta, mid) >= target {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if hi - lo <= 1e-13 * hi.abs().max(1.0) {
-            break;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 /// Finds the smallest (`smallest = true`) or largest eigenvalue of the

@@ -31,9 +31,6 @@ pub mod cholesky;
 pub mod dense;
 pub mod eigbounds;
 pub mod operator;
-pub mod precond;
-pub mod recycling;
-pub mod sstep_cg;
 
 pub use bicgstab::{bicgstab, BicgstabResult, Breakdown, BreakdownKind};
 pub use block_bicgstab::{
@@ -52,8 +49,3 @@ pub use eigbounds::{
     POWER_UPPER_SAFETY,
 };
 pub use operator::{CountingOperator, DenseOperator, LinearOperator};
-pub use precond::{pcg, BlockJacobi, IdentityPreconditioner, Preconditioner};
-pub use recycling::{recycled_cg, RecycleSpace, RecycledSolve};
-pub use sstep_cg::{
-    sstep_cg, sstep_cg_with_options, SStepCgOptions, SStepCgResult,
-};

@@ -121,6 +121,11 @@ pub fn read_matrix_market<R: Read>(input: R) -> Result<BcrsMatrix, MmError> {
     }
 
     let nb = n_rows / BLOCK_DIM;
+    if nb > u32::MAX as usize {
+        return Err(MmError::Parse(format!(
+            "block dimension {nb} exceeds the u32 column index range"
+        )));
+    }
     let mut builder = BlockTripletBuilder::square(nb);
     let mut partial: std::collections::HashMap<(usize, usize), Block3> =
         std::collections::HashMap::new();
@@ -219,13 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_divisible_dimension() {
-        let text =
-            "%%MatrixMarket matrix coordinate real general\n4 4 1\n1 1 1.0\n";
-        assert!(matches!(
-            read_matrix_market(text.as_bytes()),
-            Err(MmError::Parse(_))
-        ));
+    fn rejects_unsupported_dimensions() {
+        for text in [
+            "%%MatrixMarket matrix coordinate real general\n4 4 1\n1 1 1.0\n",
+            // 3·2³² scalars: 2³² block rows overflow the u32 column index.
+            "%%MatrixMarket matrix coordinate real general\n\
+             12884901888 12884901888 0\n",
+        ] {
+            assert!(matches!(
+                read_matrix_market(text.as_bytes()),
+                Err(MmError::Parse(_))
+            ));
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! * [`gspmv()`](gspmv::gspmv) — the generalized sparse matrix–multivector product, with
 //!   monomorphized unrolled kernels for common `m` (the Rust analogue of
 //!   the paper's code generator) and a rayon-parallel row-blocked driver.
-//! * [`spmpv`] — level-blocked matrix-power kernels: `A·X … A^k·X`
-//!   (and the shifted Chebyshev recurrence, fused) in ~one matrix
-//!   stream via an anti-diagonal chunk×power wavefront.
+//! * [`spmpv`] — the shifted Chebyshev recurrence, fused: each group
+//!   of up to [`SPMPV_MAX_DEPTH`] levels costs ~one matrix stream via
+//!   an anti-diagonal chunk×level wavefront.
 //! * [`SymmetricBcrs`] — half storage (diagonal + strict upper blocks)
 //!   for the symmetric resistance matrix, with serial and parallel GSPMV
 //!   drivers that apply each stored block twice (`B` forward, `Bᵀ` down).
@@ -74,8 +74,7 @@ pub use gspmv::{
 };
 pub use multivec::{MultiVec, SPECIALIZED_WIDTHS};
 pub use spmpv::{
-    spmpv_chebyshev, spmpv_chebyshev_with, spmpv_powers, spmpv_powers_with,
-    spmpv_powers_with_plan, PowerPlan, SPMPV_MAX_DEPTH,
+    spmpv_chebyshev, spmpv_chebyshev_with_plan, PowerPlan, SPMPV_MAX_DEPTH,
 };
 pub use stats::MatrixStats;
 pub use symmetric::SymmetricBcrs;

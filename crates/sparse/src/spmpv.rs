@@ -1,35 +1,37 @@
-//! Level-blocked sparse matrix-power kernels (SpMPV).
+//! Level-blocked fused Chebyshev kernel (SpMPV).
 //!
-//! Every Chebyshev term and every CG iteration streams the whole matrix
-//! once per multiply. Level-based blocking (Alappat et al.,
-//! arXiv:2205.01598) computes `A·X, A²·X, …, A^k·X` in roughly **one**
-//! matrix stream: block rows are split into contiguous cache-sized
-//! chunks, and the chunk×power grid is executed along anti-diagonals —
-//! chunk `i` at power `p` runs at stage `t = i + p − 1`, powers
-//! ascending within a stage. A chunk's matrix rows are then touched at
-//! `k` *consecutive* stages, so they stay cache-resident between powers
-//! and the matrix is effectively fetched from memory once.
+//! Every Chebyshev term streams the whole matrix once per multiply.
+//! Level-based blocking (Alappat et al., arXiv:2205.01598) computes
+//! several consecutive recurrence levels in roughly **one** matrix
+//! stream: block rows are split into contiguous cache-sized chunks,
+//! and the chunk×level grid is executed along anti-diagonals — chunk
+//! `i` at level `p` runs at stage `t = i + p − 1`, levels ascending
+//! within a stage. A chunk's matrix rows are then touched at
+//! *consecutive* stages, so they stay cache-resident between levels
+//! and the matrix is effectively fetched from memory once per group.
 //!
-//! **Validity.** Chunk `i` at power `p` reads columns of level `p − 1`
-//! inside chunks `i − 1, i, i + 1` only, which is guaranteed by making
-//! every chunk at least as long as the matrix's block bandwidth
-//! ([`PowerPlan`] enforces this). Those dependencies execute at stages
-//! `t − 2`, `t − 1`, and earlier in stage `t` (smaller `p` runs first),
-//! so every read sees a fully computed level.
+//! **Validity.** Chunk `i` at level `p` reads columns of levels
+//! `p − 1` and `p − 2` inside chunks `i − 1, i, i + 1` only, which is
+//! guaranteed by making every chunk at least as long as the matrix's
+//! block bandwidth ([`PowerPlan`] enforces this). Those dependencies
+//! execute at stages `t − 2`, `t − 1`, and earlier in stage `t`
+//! (smaller `p` runs first), so every read sees a fully computed level.
 //!
-//! **Determinism.** Each `(chunk, power)` cell is one
-//! [`KernelBackend::gspmv_rows`] call over the full previous-level
-//! vector, and a block row's accumulation never crosses a chunk — so
-//! per backend kind, [`spmpv_powers`] is **bitwise identical** to `k`
-//! sequential full-sweep GSPMV calls (the oracle pins this per kind).
+//! [`spmpv_chebyshev`] evaluates the whole shifted three-term
+//! recurrence `u_{p+1} = 2·Ã·u_p − u_{p−1}`, `Ã = (A − mid·I)/half`,
+//! accumulating `y = c_0/2·z + Σ c_p·u_p` per chunk as each level is
+//! produced. Coefficients are processed in fused groups of at most
+//! [`SPMPV_MAX_DEPTH`] so memory stays bounded at `depth + 2` full
+//! multivectors while each group costs one matrix stream instead of
+//! `depth`.
 //!
-//! The fused Chebyshev entry point [`spmpv_chebyshev`] evaluates the
-//! whole shifted three-term recurrence `u_{p+1} = 2·Ã·u_p − u_{p−1}`,
-//! `Ã = (A − mid·I)/half`, accumulating `y = c_0/2·z + Σ c_p·u_p`
-//! per chunk as each level is produced. Coefficients are processed in
-//! fused groups of at most [`SPMPV_MAX_DEPTH`] so memory stays bounded
-//! at `depth + 2` full multivectors while each group costs one matrix
-//! stream instead of `depth`.
+//! **Determinism.** Each `(chunk, level)` cell is one
+//! [`KernelBackend::cheb_shifted_rows`] call over the full previous
+//! levels, a block row's accumulation never crosses a chunk, and `y`
+//! accumulates each element in ascending-`p` order — so per backend
+//! kind the fused sum is **bitwise identical** to the unfused
+//! recurrence built from full-sweep GSPMV calls, under any plan (the
+//! oracle pins this per kind through [`spmpv_chebyshev_with_plan`]).
 
 use crate::backend::{self, KernelBackend, KernelKind};
 use crate::bcrs::BcrsMatrix;
@@ -45,8 +47,8 @@ use std::ops::Range;
 pub const SPMPV_MAX_DEPTH: usize = 4;
 
 /// Target bytes of matrix stream per chunk — sized so a chunk's blocks
-/// and indices sit comfortably in a private L2 slice while `k` powers
-/// revisit them.
+/// and indices sit comfortably in a private L2 slice while a group's
+/// levels revisit them.
 const CHUNK_TARGET_BYTES: usize = 256 << 10;
 
 /// The level-blocking schedule for one matrix: contiguous block-row
@@ -64,7 +66,7 @@ impl PowerPlan {
     /// Plans chunks for `a` with the default cache target.
     ///
     /// # Panics
-    /// When `a` is not square (powers need matching shapes).
+    /// When `a` is not square (the recurrence needs matching shapes).
     pub fn new(a: &BcrsMatrix) -> Self {
         let nb = a.nb_rows();
         let bytes_per_row = a.stream_bytes().checked_div(nb).unwrap_or(1).max(1);
@@ -78,7 +80,7 @@ impl PowerPlan {
         assert_eq!(
             a.nb_rows(),
             a.nb_cols(),
-            "matrix powers require a square matrix"
+            "the Chebyshev recurrence requires a square matrix"
         );
         let bandwidth = block_bandwidth(a);
         let step = chunk_rows.max(bandwidth).max(1);
@@ -129,116 +131,6 @@ fn block_bandwidth(a: &BcrsMatrix) -> usize {
     bw
 }
 
-/// `outs[p − 1] = A^p · x` for `p = 1..=outs.len()`, through the active
-/// backend, in one level-blocked wavefront. Bitwise identical (per
-/// backend kind) to `outs.len()` sequential [`crate::gspmv_serial`]
-/// sweeps.
-pub fn spmpv_powers(a: &BcrsMatrix, x: &MultiVec, outs: &mut [MultiVec]) {
-    spmpv_powers_impl(backend::active_backend(), a, x, outs);
-}
-
-/// [`spmpv_powers`] through an explicitly chosen backend kind.
-///
-/// # Panics
-/// When `kind` is unavailable on this host; gate with
-/// [`crate::backend::backend_available`].
-pub fn spmpv_powers_with(
-    kind: KernelKind,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    outs: &mut [MultiVec],
-) {
-    spmpv_powers_impl(require_backend(kind), a, x, outs);
-}
-
-/// [`spmpv_powers_with`] over an explicit [`PowerPlan`] — how the
-/// oracle (and tests) force a multi-chunk wavefront on matrices too
-/// small for the default plan to fuse. Shape checks match
-/// [`spmpv_powers`]; the plan must have been built for `a`.
-pub fn spmpv_powers_with_plan(
-    kind: KernelKind,
-    a: &BcrsMatrix,
-    plan: &PowerPlan,
-    x: &MultiVec,
-    outs: &mut [MultiVec],
-) {
-    let k = outs.len();
-    if k == 0 {
-        return;
-    }
-    let m = x.m();
-    assert_eq!(x.n(), a.n_cols(), "X row count must equal matrix columns");
-    for out in outs.iter() {
-        assert_eq!(out.n(), a.n_rows(), "out row count must equal matrix rows");
-        assert_eq!(out.m(), m, "out width must match X");
-    }
-    let b = require_backend(kind);
-    let _span = instrument_spmpv(a, m, k, 1, plan, b);
-    powers_wavefront(b, a, plan, x, outs);
-}
-
-fn require_backend(kind: KernelKind) -> &'static dyn KernelBackend {
-    backend::backend_for(kind)
-        .expect("requested kernel backend unavailable on this host")
-}
-
-fn spmpv_powers_impl(
-    b: &dyn KernelBackend,
-    a: &BcrsMatrix,
-    x: &MultiVec,
-    outs: &mut [MultiVec],
-) {
-    let k = outs.len();
-    if k == 0 {
-        return;
-    }
-    let m = x.m();
-    assert_eq!(x.n(), a.n_cols(), "X row count must equal matrix columns");
-    for out in outs.iter() {
-        assert_eq!(out.n(), a.n_rows(), "out row count must equal matrix rows");
-        assert_eq!(out.m(), m, "out width must match X");
-    }
-    let plan = PowerPlan::new(a);
-    // The whole depth runs in one wavefront: one matrix stream.
-    let _span = instrument_spmpv(a, m, k, 1, &plan, b);
-    powers_wavefront(b, a, &plan, x, outs);
-}
-
-/// The anti-diagonal schedule over an explicit plan (tests force
-/// multi-chunk plans on small matrices through this).
-fn powers_wavefront(
-    b: &dyn KernelBackend,
-    a: &BcrsMatrix,
-    plan: &PowerPlan,
-    x: &MultiVec,
-    outs: &mut [MultiVec],
-) {
-    let m = x.m();
-    let k = outs.len();
-    let q = plan.n_chunks();
-    if q == 0 || k == 0 {
-        return;
-    }
-    for t in 0..q + k - 1 {
-        for p in 1..=k {
-            let i = t as isize - (p as isize - 1);
-            if i < 0 || i >= q as isize {
-                continue;
-            }
-            let rows = plan.chunk(i as usize);
-            let win = rows.start * BLOCK_DIM * m..rows.end * BLOCK_DIM * m;
-            if p == 1 {
-                let y = &mut outs[0].as_mut_slice()[win];
-                b.gspmv_rows(a, x.as_slice(), y, m, rows);
-            } else {
-                let (prev, cur) = outs.split_at_mut(p - 1);
-                let y = &mut cur[0].as_mut_slice()[win];
-                b.gspmv_rows(a, prev[p - 2].as_slice(), y, m, rows);
-            }
-        }
-    }
-}
-
 /// Evaluates the full shifted-Chebyshev sum
 /// `y = c_0/2 · z + Σ_{p=1}^{order} c_p · T_p(Ã) z`,
 /// `Ã = (A − mid·I)/half`, with `order = coeffs.len() − 1` operator
@@ -252,26 +144,48 @@ pub fn spmpv_chebyshev(
     coeffs: &[f64],
     y: &mut MultiVec,
 ) {
-    spmpv_chebyshev_impl(backend::active_backend(), a, z, mid, half, coeffs, y);
+    let plan = PowerPlan::new(a);
+    spmpv_chebyshev_impl(
+        backend::active_backend(),
+        a,
+        &plan,
+        z,
+        mid,
+        half,
+        coeffs,
+        y,
+    );
 }
 
-/// [`spmpv_chebyshev`] through an explicitly chosen backend kind
-/// (panics when unavailable, like [`spmpv_powers_with`]).
-pub fn spmpv_chebyshev_with(
+/// [`spmpv_chebyshev`] through an explicitly chosen backend kind and
+/// [`PowerPlan`] — how the oracle forces a multi-chunk wavefront on
+/// matrices too small for the default plan to fuse. The plan must
+/// have been built for `a`.
+///
+/// # Panics
+/// When `kind` is unavailable on this host; gate with
+/// [`crate::backend::backend_available`].
+#[allow(clippy::too_many_arguments)]
+pub fn spmpv_chebyshev_with_plan(
     kind: KernelKind,
     a: &BcrsMatrix,
+    plan: &PowerPlan,
     z: &MultiVec,
     mid: f64,
     half: f64,
     coeffs: &[f64],
     y: &mut MultiVec,
 ) {
-    spmpv_chebyshev_impl(require_backend(kind), a, z, mid, half, coeffs, y);
+    let b = backend::backend_for(kind)
+        .expect("requested kernel backend unavailable on this host");
+    spmpv_chebyshev_impl(b, a, plan, z, mid, half, coeffs, y);
 }
 
+#[allow(clippy::too_many_arguments)]
 fn spmpv_chebyshev_impl(
     b: &dyn KernelBackend,
     a: &BcrsMatrix,
+    plan: &PowerPlan,
     z: &MultiVec,
     mid: f64,
     half: f64,
@@ -291,17 +205,15 @@ fn spmpv_chebyshev_impl(
     if order == 0 {
         return;
     }
-    let plan = PowerPlan::new(a);
     let depth = order.min(SPMPV_MAX_DEPTH);
     // One matrix stream per fused group of `depth` levels.
     let passes = order.div_ceil(depth) as u64;
-    let _span = instrument_spmpv(a, m, order, passes, &plan, b);
-    chebyshev_wavefront(b, a, &plan, z, mid, half, coeffs, y);
+    let _span = instrument_spmpv(a, m, order, passes, plan, b);
+    chebyshev_wavefront(b, a, plan, z, mid, half, coeffs, y);
 }
 
-/// The grouped recurrence over an explicit plan (tests force
-/// multi-chunk plans on small matrices through this). `y` must already
-/// hold the `c_0/2 · z` term.
+/// The grouped recurrence over an explicit plan. `y` must already hold
+/// the `c_0/2 · z` term.
 #[allow(clippy::too_many_arguments)]
 fn chebyshev_wavefront(
     b: &dyn KernelBackend,
@@ -450,9 +362,7 @@ fn instrument_spmpv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::backend_available;
     use crate::block::Block3;
-    use crate::gspmv::gspmv_serial_with;
     use crate::triplet::BlockTripletBuilder;
 
     fn banded(nb: usize, band: usize, seed: u64) -> BcrsMatrix {
@@ -505,64 +415,6 @@ mod tests {
             next = c.end;
         }
         assert_eq!(next, 40);
-    }
-
-    #[test]
-    fn powers_bitwise_match_repeated_gspmv_per_kind() {
-        let a = banded(37, 4, 1234);
-        let n = a.n_rows();
-        for kind in KernelKind::ALL {
-            if !backend_available(kind) {
-                continue;
-            }
-            for &m in &[1usize, 3, 8] {
-                let x = pseudo(n, m, 77);
-                for k in 1..=4usize {
-                    let mut outs: Vec<MultiVec> =
-                        (0..k).map(|_| MultiVec::zeros(n, m)).collect();
-                    // Force a genuinely multi-chunk wavefront.
-                    let plan = PowerPlan::with_chunk_rows(&a, 5);
-                    assert!(plan.fused());
-                    powers_wavefront(
-                        require_backend(kind),
-                        &a,
-                        &plan,
-                        &x,
-                        &mut outs,
-                    );
-                    let mut want = x.clone();
-                    for out in &outs {
-                        let mut next = MultiVec::zeros(n, m);
-                        gspmv_serial_with(kind, &a, &want, &mut next);
-                        assert_eq!(
-                            next.as_slice(),
-                            out.as_slice(),
-                            "kind={kind:?} m={m} k={k}"
-                        );
-                        want = next;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_chunk_plan_degenerates_to_sequential_sweeps() {
-        let a = banded(6, 2, 5);
-        let plan = PowerPlan::with_chunk_rows(&a, 100);
-        assert!(!plan.fused());
-        let x = pseudo(a.n_rows(), 2, 3);
-        let mut outs =
-            vec![MultiVec::zeros(a.n_rows(), 2), MultiVec::zeros(a.n_rows(), 2)];
-        spmpv_powers(&a, &x, &mut outs);
-        // The active backend may be SIMD; compare against the active
-        // kind's own sweeps for bitwise identity.
-        let mut a1 = MultiVec::zeros(a.n_rows(), 2);
-        crate::gspmv::gspmv_serial(&a, &x, &mut a1);
-        assert_eq!(outs[0].as_slice(), a1.as_slice());
-        let mut a2 = MultiVec::zeros(a.n_rows(), 2);
-        crate::gspmv::gspmv_serial(&a, &a1, &mut a2);
-        assert_eq!(outs[1].as_slice(), a2.as_slice());
     }
 
     #[test]
@@ -623,11 +475,8 @@ mod tests {
                 let plan = PowerPlan::with_chunk_rows(&a, 4);
                 assert!(plan.fused());
                 let mut yc = MultiVec::zeros(n, m);
-                for (yv, zv) in yc.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    *yv = 0.5 * coeffs[0] * zv;
-                }
-                chebyshev_wavefront(
-                    backend::active_backend(),
+                spmpv_chebyshev_with_plan(
+                    backend::active_backend().kind(),
                     &a,
                     &plan,
                     &z,
@@ -650,11 +499,6 @@ mod tests {
     fn empty_and_tiny_matrices_are_handled() {
         let a = BlockTripletBuilder::square(1).build();
         let x = MultiVec::zeros(3, 2);
-        let mut outs = vec![MultiVec::zeros(3, 2); 3];
-        spmpv_powers(&a, &x, &mut outs);
-        for out in &outs {
-            assert_eq!(out.max_abs(), 0.0);
-        }
         let mut y = MultiVec::zeros(3, 2);
         spmpv_chebyshev(&a, &x, 1.0, 1.0, &[0.5, 0.25], &mut y);
         assert_eq!(y.max_abs(), 0.0);

@@ -16,6 +16,14 @@
 //! Integers up to 2⁵³ round-trip exactly (stored as `f64`, serialized
 //! via the shortest round-trip `Display`); every metric this workspace
 //! records is far below that.
+//!
+//! The parser recurses once per array/object level, so nesting deeper
+//! than 256 levels is rejected with an error instead of overflowing the
+//! stack on hostile input.
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace writes is a handful of levels deep.
+const MAX_DEPTH: usize = 256;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -147,7 +155,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -216,8 +224,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value; `depth` counts the arrays/objects enclosing it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -233,7 +245,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -258,7 +270,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -395,6 +407,18 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"abc").is_err());
         assert!(Json::parse("nule").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_beyond_max_depth() {
+        let nested = |open: &str, close: &str, n: usize| {
+            format!("{}{}", open.repeat(n), close.repeat(n))
+        };
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&nested("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+        // Far past any stack: an error, not an abort.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
